@@ -1,7 +1,7 @@
 """Command-line front end: generate topologies, report metrics, run simulations.
 
-Exit codes: 0 on success, 1 on configuration errors, 2 when generation is
-infeasible (connectivity repair cannot satisfy the degree cap).
+Exit codes: 0 on success, 1 on configuration or topology-invariant errors, 2
+when generation is infeasible (connectivity repair cannot satisfy the degree cap).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .simcore import SIM_CSV_HEADER, Routing, SimConfig, run
 from .topology import (
     ConfigError,
     GenerationError,
+    InvariantError,
     TopologyConfig,
     build,
     export_edge_list,
@@ -247,15 +248,12 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_experiment(opt, args.id)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+    except (ConfigError, InvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GenerationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

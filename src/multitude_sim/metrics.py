@@ -3,14 +3,14 @@
 Paths are always evaluated between processing-node pairs.  The hop count of a
 path is the number of switch nodes on it, so two processing nodes sharing a
 switch are 1 hop apart and lattice neighbors are (Manhattan distance + 1)
-apart.  Means accumulate in node-id order for floating-point determinism.
+apart.  PNs are degree-1 leaves, so hops, path lengths and simcore's routing
+tables all come from one switch-graph relaxation kernel, ``_relax``.  Path
+lengths seed it with stub lengths, which keeps the left fold
+``stub_i + l_1 + ... + stub_j`` of a Dijkstra from the PN bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,35 +66,62 @@ class MetricsReport:
         )
 
 
+_BLOCK = 64  # sources relaxed together; bounds the [arcs, block] candidate arrays
+
+
+def _switch_arcs(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of every switch link as (tail, head, length), sorted by (head, tail)."""
+    pairs = topology.switch_link_pairs()
+    length = np.array([topology.link_length(a, b) for a, b in pairs] * 2, dtype=np.float64)
+    tail, head = np.array(pairs + [(b, a) for a, b in pairs], dtype=np.int32).reshape(-1, 2).T
+    order = np.lexsort((tail, head))
+    return tail[order], head[order], length[order]
+
+
+def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachable) -> np.ndarray:
+    """Vectorised Bellman-Ford over (tail, head, weight) arcs, ``_BLOCK`` sources at a time.
+
+    Column k of the [n_switch, len(seeds)] result starts at ``values[k]`` on
+    switch ``seeds[k]``; ``unreachable`` must exceed every real distance.  A
+    round relaxes only the arcs leaving switches improved in the round before.
+    """
+    tail, head, weight = arcs
+    out = np.empty((n_switch, len(seeds)), dtype=values.dtype)
+    for lo in range(0, len(seeds), _BLOCK):
+        frontier = seeds[lo : lo + _BLOCK]
+        dist = np.full((n_switch, len(frontier)), unreachable, dtype=values.dtype)
+        dist[frontier, np.arange(len(frontier))] = values[lo : lo + _BLOCK]
+        while len(live := np.flatnonzero(np.isin(tail, frontier))):
+            targets = head[live]
+            starts = np.flatnonzero(np.diff(targets, prepend=-1))
+            best = np.minimum.reduceat(dist[tail[live]] + weight[live, None], starts, axis=0)
+            targets = targets[starts]
+            current = dist[targets]
+            dist[targets] = np.minimum(best, current)
+            frontier = targets[(best < current).any(axis=1)]
+        out[:, lo : lo + _BLOCK] = dist
+    return out
+
+
+def _switch_hops(topology: Topology) -> np.ndarray:
+    """[S, S] int32 switch-to-switch link counts, S where unreachable."""
+    s_count = topology.n_switch
+    tail, head, _ = _switch_arcs(topology)
+    unit = (tail, head, np.ones(len(tail), dtype=np.int32))
+    return _relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
+
+
 def pn_hop_matrix(topology: Topology) -> np.ndarray:
     """Minimum hop counts between all processing-node pairs.
 
     Entry [i, j] is the number of switch nodes on a minimum-hop path between
     processing nodes i and j (indices into ``topology.processing_ids``),
-    -1 when unreachable, 0 on the diagonal.  Computed by per-source BFS over
-    the unweighted graph; hop count is BFS edge distance minus one (the two
-    stub links bracket the switch chain).
+    -1 when unreachable, 0 on the diagonal: switch link count plus one.
     """
-    n = topology.n_processing
-    offset = topology.n_switch
-    total = topology.n_nodes
-    hops = np.full((n, n), -1, dtype=np.int32)
-    for src in range(n):
-        dist = np.full(total, -1, dtype=np.int32)
-        start = offset + src
-        dist[start] = 0
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            d = dist[node]
-            for nb in topology.neighbors(node):
-                if dist[nb] < 0:
-                    dist[nb] = d + 1
-                    queue.append(nb)
-        for dst in range(n):
-            d = dist[offset + dst]
-            if d >= 0:
-                hops[src, dst] = max(d - 1, 0)
+    pn_switch = topology.pn_switches()
+    hops = _switch_hops(topology)[np.ix_(pn_switch, pn_switch)]
+    hops = np.where(hops < topology.n_switch, hops + 1, -1)
+    np.fill_diagonal(hops, 0)
     return hops
 
 
@@ -108,37 +135,24 @@ def average_hops(topology: Topology) -> tuple[float, int]:
     n = topology.n_processing
     if n < 2:
         raise ValueError("average_hops needs at least 2 processing nodes")
-    hops = pn_hop_matrix(topology)
-    off_diag = ~np.eye(n, dtype=bool)
-    reachable = (hops >= 0) & off_diag
-    unreachable = int((~reachable & off_diag).sum()) // 2
-    if not reachable.any():
+    hops = pn_hop_matrix(topology)  # 0 only on the diagonal
+    unreachable = int((hops < 0).sum()) // 2
+    if not (hops > 0).any():
         return float("nan"), unreachable
-    return float(hops[reachable].mean()), unreachable
+    return float(hops[hops > 0].mean()), unreachable
 
 
 def pn_distance_matrix(topology: Topology) -> np.ndarray:
-    """Euclidean-weighted shortest path lengths between all PN pairs (inf if unreachable)."""
-    n = topology.n_processing
-    offset = topology.n_switch
-    total = topology.n_nodes
-    out = np.full((n, n), np.inf)
-    for src in range(n):
-        dist = np.full(total, np.inf)
-        start = offset + src
-        dist[start] = 0.0
-        heap = [(0.0, start)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for nb in topology.neighbors(node):
-                nd = d + topology.link_length(node, nb)
-                if nd < dist[nb]:
-                    dist[nb] = nd
-                    heapq.heappush(heap, (nd, nb))
-        out[src] = dist[offset : offset + n]
-    return out
+    """Euclidean-weighted shortest path lengths between all PN pairs (inf if unreachable).
+
+    The kernel runs from each PN i seeded at its switch with its stub; [i, j] adds j's stub.
+    """
+    pn_switch = topology.pn_switches()
+    s_count = topology.n_switch
+    stubs = np.array([topology.link_length(sw, s_count + i) for i, sw in enumerate(pn_switch.tolist())])
+    dist = _relax(_switch_arcs(topology), s_count, pn_switch, stubs, np.inf)[pn_switch].T + stubs
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 def average_path_length(topology: Topology) -> float:
@@ -146,19 +160,13 @@ def average_path_length(topology: Topology) -> float:
     n = topology.n_processing
     if n < 2:
         raise ValueError("average_path_length needs at least 2 processing nodes")
-    dist = pn_distance_matrix(topology)
-    total = 0.0
-    pairs = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = dist[i, j]
-            if not math.isfinite(d):
-                raise DisconnectedTopologyError(
-                    f"processing nodes {i} and {j} have no connecting path"
-                )
-            total += d
-            pairs += 1
-    return total / pairs
+    rows, cols = np.triu_indices(n, 1)
+    upper = pn_distance_matrix(topology)[rows, cols]
+    broken = np.flatnonzero(~np.isfinite(upper))
+    if len(broken):
+        i, j = rows[broken[0]], cols[broken[0]]
+        raise DisconnectedTopologyError(f"processing nodes {i} and {j} have no connecting path")
+    return np.cumsum(upper)[-1] / len(upper)  # row-order left fold; np.sum is pairwise
 
 
 def clustering_coefficient(topology: Topology) -> float:

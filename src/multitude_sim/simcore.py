@@ -28,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .metrics import _BLOCK, _switch_arcs, _switch_hops
 from .topology import ConfigError, Topology
 
 __all__ = [
@@ -147,35 +148,26 @@ class SimStats:
 def compute_routing_tables(topology: Topology) -> np.ndarray:
     """Next-hop table: entry [switch, pn_index] is the neighbor switch id.
 
-    Built from a BFS per destination over the switch subgraph; among
-    equally short next hops the lowest neighbor id wins.  LOCAL marks the
-    destination's own switch, UNREACHABLE a missing path (possible after
-    fault injection).
+    From the switch hop matrix (``metrics`` relaxation kernel) a switch picks
+    its lowest-id neighbor one hop closer to the destination PN's switch.
+    LOCAL marks the destination's own switch, UNREACHABLE a missing path
+    (possible after fault injection).
     """
+    pn_switch = topology.pn_switches()
     s_count = topology.n_switch
-    n_count = topology.n_processing
-    table = np.full((s_count, n_count), UNREACHABLE, dtype=np.int32)
-    for pn in range(n_count):
-        dst_switch = topology.attached_switch(s_count + pn)
-        dist = np.full(s_count, -1, dtype=np.int32)
-        dist[dst_switch] = 0
-        queue = deque([dst_switch])
-        while queue:
-            node = queue.popleft()
-            for nb in topology.switch_neighbors(node):
-                if dist[nb] < 0:
-                    dist[nb] = dist[node] + 1
-                    queue.append(nb)
-        table[dst_switch, pn] = LOCAL
-        for sw in range(s_count):
-            if sw == dst_switch or dist[sw] < 0:
-                continue
-            want = dist[sw] - 1
-            for nb in topology.switch_neighbors(sw):  # sorted, so ties pick lowest id
-                if dist[nb] == want:
-                    table[sw, pn] = nb
-                    break
-    return table
+    hops = _switch_hops(topology)
+    # arcs sorted by (head, tail); read swapped, they are grouped by switch
+    # with neighbors ascending, so a group minimum is the lowest-id choice
+    nbr, sw, _ = _switch_arcs(topology)
+    starts = np.flatnonzero(np.diff(sw, prepend=-1))
+    table = np.full((s_count, s_count), UNREACHABLE, dtype=np.int32)
+    for lo in range(0, s_count, _BLOCK):  # [S, S] by destination switch
+        cols = hops[:, lo : lo + _BLOCK]
+        closer = np.where(cols[nbr] == cols[sw] - 1, nbr[:, None], s_count)
+        best = np.minimum.reduceat(closer, starts, axis=0)
+        table[sw[starts], lo : lo + _BLOCK] = np.where(best < s_count, best, UNREACHABLE)
+    np.fill_diagonal(table, LOCAL)
+    return table[:, pn_switch]
 
 
 class Simulation:
@@ -195,7 +187,7 @@ class Simulation:
         s_count = topology.n_switch
         self._s_count = s_count
         self._n_count = topology.n_processing
-        self._pn_switch = [topology.attached_switch(s_count + i) for i in range(self._n_count)]
+        self._pn_switch = topology.pn_switches().tolist()
         self._switch_neighbors = [topology.switch_neighbors(s) for s in range(s_count)]
         self.buffers: list[deque[Message]] = [deque() for _ in range(s_count)]
         self.step_index = 0

@@ -313,6 +313,13 @@ class Topology:
     def attached_switch(self, pn_id: int) -> int:
         return int(self._pn_switch[pn_id - self.n_switch])
 
+    def pn_switches(self) -> np.ndarray:
+        """Read-only attached switch per PN index; InvariantError names a PN that is no leaf."""
+        bad = np.flatnonzero(self._pn_switch < 0)
+        if len(bad):
+            raise InvariantError(f"processing node {self.n_switch + bad[0]} must attach to exactly one switch node")
+        return self._pn_switch
+
     def with_links(self, links: dict[tuple[int, int], float]) -> "Topology":
         """New topology with the same nodes and metadata but a different link set."""
         return Topology(
@@ -336,13 +343,7 @@ class Topology:
             raise InvariantError("node positions must lie in the unit cube")
         if self.family == "2DCA" and np.any(pos[:, 2] != 0.0):
             raise InvariantError("2DCA positions must have z = 0")
-        for i in range(self.n_processing):
-            pid = self.n_switch + i
-            nbrs = self._adjacency[pid]
-            if len(nbrs) != 1 or nbrs[0] >= self.n_switch:
-                raise InvariantError(
-                    f"processing node {pid} must attach to exactly one switch node"
-                )
+        self.pn_switches()
         for (a, b), length in self._links.items():
             is_stub = b >= self.n_switch
             if is_stub and self.family in CA_FAMILIES:

@@ -92,3 +92,29 @@ def switch_component_count(topology):
         if b < topology.n_switch:
             uf.union(a, b)
     return len({uf.find(s) for s in range(topology.n_switch)})
+
+
+def next_hop_oracle(topology):
+    """Shortest-path next hop for every (switch, PN index) pair via BFS.
+
+    One plain BFS over switch links from each destination PN's switch; a
+    switch forwards to its lowest-id neighbour one BFS level closer.  Values
+    use the routing table's markers: -1 at the destination's own switch, -2
+    where no path exists.
+    """
+    s_count = topology.n_switch
+    edges = edge_list(topology)
+    switch_edges = [(a, b, ln) for a, b, ln in edges if b < s_count]
+    adj = adjacency_from_edges(s_count, switch_edges)
+    home = {b - s_count: a for a, b, _ in edges if b >= s_count}
+    out = {}
+    for pn in range(topology.n_processing):
+        dist = bfs_edge_distances(s_count, switch_edges, home[pn])
+        for sw in range(s_count):
+            if sw == home[pn]:
+                out[(sw, pn)] = -1
+            elif sw not in dist:
+                out[(sw, pn)] = -2
+            else:
+                out[(sw, pn)] = min(nb for nb, _ in adj[sw] if dist.get(nb) == dist[sw] - 1)
+    return out

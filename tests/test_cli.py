@@ -98,6 +98,19 @@ def test_config_error_exit_code():
                  "--topology", "nope"]) == 1  # unknown flag for this command
 
 
+def test_non_leaf_processing_node_exit_code(tmp_path, capsys):
+    topo = tmp_path / "topo.txt"
+    topo.write_text(
+        "# multitude-topology v1 family=2DCA seed=0\n"
+        "N 0 S 0.0 0.0 0.0\nN 1 S 1.0 0.0 0.0\nN 2 P 0.0 0.0 0.0\nN 3 P 1.0 0.0 0.0\n"
+        "L 0 1 1.0\nL 0 2 0.01\nL 1 2 0.01\nL 1 3 0.01\n",
+        encoding="utf-8",
+    )
+    for command in ("metrics", "simulate"):
+        assert main([command, "--topology", str(topo)]) == 1
+        assert "processing node 2 " in capsys.readouterr().err
+
+
 def test_infeasible_generation_exit_code():
     rc = main(["generate", "--family", "3DRMRealistic", "--kmax", "1", "--ks", "6"])
     assert rc == 2

@@ -13,6 +13,7 @@ from multitude_sim import (
     RM_FAMILIES,
     ConfigError,
     GenerationError,
+    InvariantError,
     NodeKind,
     Topology,
     TopologyConfig,
@@ -339,6 +340,21 @@ def test_topology_rejects_self_loops_and_duplicates():
     # duplicate under reversed key ordering collapses to the same set entry
     with pytest.raises(ValueError):
         Topology("3DRMStandard", 0, 2, 1, pos, {(0, 1): 0.5, (1, 0): 0.5})  # type: ignore[dict-item]
+
+
+def _pn_on_two_switches():
+    # PN 2 is wired to both switches, so it is not a leaf
+    pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.0, 0.0]])
+    return Topology("3DRMStandard", 0, 2, 1, pos, {(0, 1): 0.5, (0, 2): 0.2, (1, 2): 0.3})
+
+
+def test_pn_switches_reads_attachment_and_rejects_non_leaf():
+    topo = build(TopologyConfig("3DRMGlobal", 32, 48, seed=9))
+    assert topo.pn_switches().tolist() == [topo.attached_switch(pn) for pn in topo.processing_ids]
+    with pytest.raises(InvariantError, match="processing node 2 "):
+        _pn_on_two_switches().pn_switches()
+    with pytest.raises(InvariantError, match="processing node 2 "):
+        _pn_on_two_switches().validate()
 
 
 def test_validate_flags_wrong_cached_length():
