@@ -104,11 +104,19 @@ def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachab
 
 
 def _switch_hops(topology: Topology) -> np.ndarray:
-    """[S, S] int32 switch-to-switch link counts, S where unreachable."""
-    s_count = topology.n_switch
-    tail, head, _ = _switch_arcs(topology)
-    unit = (tail, head, np.ones(len(tail), dtype=np.int32))
-    return _relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
+    """[S, S] int32 switch-to-switch link counts, S where unreachable; read-only.
+
+    Computed once per topology and kept on it: a Topology never changes its
+    links, so the hop metrics and simcore's routing tables share one run.
+    """
+    if topology._switch_hops is None:
+        s_count = topology.n_switch
+        tail, head, _ = _switch_arcs(topology)
+        unit = (tail, head, np.ones(len(tail), dtype=np.int32))
+        hops = _relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
+        hops.setflags(write=False)
+        topology._switch_hops = hops
+    return topology._switch_hops
 
 
 def pn_hop_matrix(topology: Topology) -> np.ndarray:

@@ -15,14 +15,17 @@ Each step runs three phases:
 
 The stage/commit split means a message crosses at most one switch link per
 step and the outcome does not depend on the order switches are visited.
+Phases 2 and 3 are one fixed sequence of whole-array operations over
+structure-of-arrays message state (see ``Simulation``); only injection goes
+message by message, through ``Simulation.inject``.
 Everything is driven by one seeded generator consumed in fixed id order, so
 a (topology, config) pair always produces identical statistics.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator
 
@@ -105,7 +108,14 @@ class Message:
 
 @dataclass
 class SimStats:
-    """Aggregate delivery statistics for one run."""
+    """Aggregate delivery statistics for one run.
+
+    ``throughput_per_switch`` divides every delivery, drain phase included,
+    by ``horizon * S``.  ``drain_steps`` counts the injection-free steps
+    ``run`` took after the horizon, and ``drain_capped`` is true when the
+    drain stopped at its cap with messages still in flight; neither is a
+    CSV column.
+    """
 
     injected: int
     delivered: int
@@ -117,6 +127,8 @@ class SimStats:
     avg_latency: float
     throughput_per_switch: float
     max_buffer_occupancy: int
+    drain_steps: int = 0
+    drain_capped: bool = False
 
     def csv_row(self, topology: Topology, config: SimConfig) -> str:
         alpha = "" if topology.alpha is None else repr(float(topology.alpha))
@@ -170,8 +182,48 @@ def compute_routing_tables(topology: Topology) -> np.ndarray:
     return table[:, pn_switch]
 
 
+# initial ring width cap; the paper's buffer capacity (M = 100) never widens it
+_RING_WIDTH = 128
+
+
+class _SwitchBuffer:
+    """A read-only view of one switch's FIFO in a live simulation.
+
+    len() is the switch's occupancy; iteration yields its records in FIFO order.
+    """
+
+    __slots__ = ("_sim", "_switch")
+
+    def __init__(self, sim: "Simulation", switch: int):
+        self._sim = sim
+        self._switch = switch
+
+    def __len__(self) -> int:
+        return self._sim._occ.item(self._switch)
+
+    def __iter__(self) -> Iterator[Message]:
+        sim = self._sim
+        counts = np.where(sim._switches == self._switch, sim._occ, 0)
+        return iter(sim._records(sim._fifo(counts)[0]))
+
+    def __getitem__(self, index: int) -> Message:
+        return list(self)[index]
+
+
 class Simulation:
-    """Mutable simulation state; step() advances one synchronous update."""
+    """Mutable simulation state; step() advances one synchronous update.
+
+    Messages are held as structure-of-arrays state.  The pool ``_pool`` has
+    one int64 column per buffered message (rows: id, dst, injected_at, hops,
+    destination switch) and a stack of free columns, so it grows with the
+    peak number in flight, not with the ids issued.  Switch s's FIFO is row
+    s of the flat ``[S, width]`` ring of pool columns: ``_occ[s]`` entries
+    from column ``_head[s]``, wrapping at ``width`` (a power of two).  Each
+    column also keeps the ``Message`` record ``inject`` returned; the step
+    never touches it, and its ``hops_taken`` is brought up to date when the
+    record is handed out in ``delivered_this_step``, ``dropped_this_step``,
+    ``buffers`` or ``iter_in_flight()``.
+    """
 
     def __init__(self, topology: Topology, config: SimConfig):
         config.validate()
@@ -185,11 +237,37 @@ class Simulation:
             else None
         )
         s_count = topology.n_switch
+        n_count = topology.n_processing
         self._s_count = s_count
-        self._n_count = topology.n_processing
+        self._n_count = n_count
         self._pn_switch = topology.pn_switches().tolist()
-        self._switch_neighbors = [topology.switch_neighbors(s) for s in range(s_count)]
-        self.buffers: list[deque[Message]] = [deque() for _ in range(s_count)]
+        self._switches = np.arange(s_count)
+        if self.routing_table is not None:
+            # flat next hops, entry _route_row[sw] + dst; intp keeps sort keys from overflowing
+            self._next_hop = self.routing_table.astype(np.intp).ravel()
+            self._route_row = self._switches * n_count - s_count
+        # wandering takes neighbour int(draw * degree) of the switch's tuple;
+        # an isolated switch lists itself, so its messages stay put
+        nbrs = [topology.switch_neighbors(s) or (s,) for s in range(s_count)]
+        degree = [len(n) for n in nbrs]
+        self._neighbors = np.array([nb for n in nbrs for nb in n], dtype=np.intp)
+        self._first_neighbor = np.cumsum([0] + degree[:-1], dtype=np.intp)
+        self._degree = np.array(degree, dtype=np.intp)
+        self._stays = self.routing_table is None and any(
+            topology.switch_degree(s) == 0 for s in range(s_count)
+        )
+
+        self._occ = np.zeros(s_count, dtype=np.intp)
+        self._head = np.zeros(s_count, dtype=np.intp)
+        self._set_width(1 << (min(config.buffer_capacity, _RING_WIDTH) - 1).bit_length())
+        self._pool = np.zeros((5, max(s_count, 16)), dtype=np.int64)
+        self._id, self._dst, self._born, self._hops, self._dsw = self._pool
+        self._messages: list[Message | None] = [None] * self._pool.shape[1]
+        self._free = list(range(self._pool.shape[1] - 1, -1, -1))
+        self._in_flight = 0
+        # views of the FIFOs; a weak proxy keeps the simulation free of reference cycles
+        owner = weakref.proxy(self)
+        self.buffers = tuple(_SwitchBuffer(owner, s) for s in range(s_count))
         self.step_index = 0
         self._next_msg_id = 0
 
@@ -207,11 +285,11 @@ class Simulation:
     # -- bookkeeping ---------------------------------------------------------
 
     def in_flight(self) -> int:
-        return sum(len(buf) for buf in self.buffers)
+        return self._in_flight
 
     def iter_in_flight(self) -> Iterator[Message]:
-        for buf in self.buffers:
-            yield from buf
+        """Records of every buffered message, switch by switch in FIFO order."""
+        return iter(self._records(self._fifo(self._occ)[0]))
 
     def conservation_ok(self) -> bool:
         accounted = (
@@ -222,6 +300,48 @@ class Simulation:
             + self.in_flight()
         )
         return accounted == self.injected
+
+    # -- array state ------------------------------------------------------------
+
+    def _set_width(self, width: int) -> None:
+        """Allocate an empty ring of ``width`` columns per switch (a power of two)."""
+        self._width = width
+        self._mask = width - 1
+        self._base = self._switches * width
+        self._iota = np.arange(len(self._switches) * width)
+        self._ring = np.zeros(len(self._switches) * width, dtype=np.intp)
+
+    def _fifo(self, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pool columns, switches and FIFO positions of each switch's first ``counts[s]``
+        messages, in (switch, FIFO) order."""
+        sw = self._switches.repeat(counts)
+        lane = self._iota[: len(sw)] - (counts.cumsum() - counts)[sw]
+        return self._ring[self._base[sw] + ((self._head[sw] + lane) & self._mask)], sw, lane
+
+    def _widen(self, need: int) -> None:
+        """Double the ring until a switch holds ``need`` messages; FIFOs restart at column 0."""
+        slots, sw, lane = self._fifo(self._occ)
+        width = self._width
+        while width < need:
+            width *= 2
+        self._set_width(width)
+        self._ring[self._base[sw] + lane] = slots
+        self._head[:] = 0
+
+    def _records(self, slots: np.ndarray) -> list[Message]:
+        """The records of ``slots``, with hop counts brought up to date."""
+        messages = self._messages
+        records = [messages[k] for k in slots.tolist()]
+        for msg, hops in zip(records, self._hops[slots].tolist()):
+            msg.hops_taken = hops
+        return records
+
+    def _release(self, slots: np.ndarray) -> list[Message]:
+        """Records of messages leaving the network; their pool columns become free."""
+        records = self._records(slots)
+        self._free += slots.tolist()
+        self._in_flight -= len(slots)
+        return records
 
     # -- message entry ---------------------------------------------------------
 
@@ -240,7 +360,7 @@ class Simulation:
             raise ValueError("src and dst must be processing-node ids")
         if src == dst:
             raise ValueError("a message needs distinct src and dst")
-        msg = Message(self._next_msg_id, src, dst, self.step_index, payload=payload)
+        msg_id = self._next_msg_id
         self._next_msg_id += 1
         self.injected += 1
         switch = self._pn_switch[src - s_count]
@@ -250,15 +370,28 @@ class Simulation:
         ):
             self.unreachable_dropped += 1
             return None
-        buf = self.buffers[switch]
-        if len(buf) >= self.config.buffer_capacity:
+        occ = self._occ.item(switch)
+        if occ >= self.config.buffer_capacity:
             self.dropped_buffer += 1
-            self.dropped_this_step.append(msg)
+            self.dropped_this_step.append(Message(msg_id, src, dst, self.step_index, payload=payload))
             return None
-        msg.hops_taken = 1
-        buf.append(msg)
-        if len(buf) > self.max_buffer_occupancy:
-            self.max_buffer_occupancy = len(buf)
+        if occ == self._width:
+            self._widen(occ + 1)
+        if not self._free:  # double the pool
+            size = self._pool.shape[1]
+            self._pool = np.concatenate([self._pool, np.zeros_like(self._pool)], axis=1)
+            self._id, self._dst, self._born, self._hops, self._dsw = self._pool
+            self._messages += [None] * size
+            self._free = list(range(2 * size - 1, size - 1, -1))
+        slot = self._free.pop()
+        msg = Message(msg_id, src, dst, self.step_index, 1, payload)
+        self._pool[:, slot] = (msg_id, dst, self.step_index, 1, self._pn_switch[dst - s_count])
+        self._messages[slot] = msg
+        self._ring[switch * self._width + ((self._head.item(switch) + occ) & self._mask)] = slot
+        self._occ[switch] = occ + 1
+        self._in_flight += 1
+        if occ + 1 > self.max_buffer_occupancy:
+            self.max_buffer_occupancy = occ + 1
         return msg
 
     # -- the synchronous update -------------------------------------------------
@@ -269,75 +402,101 @@ class Simulation:
         self.dropped_this_step = []
         s_count = self._s_count
         n_count = self._n_count
-        rng = self.rng
 
         # phase 1: traffic injection
         rate = self.config.injection_rate if inject else 0.0
         if rate > 0.0 and n_count >= 2:
-            coins = rng.random(n_count)
+            coins = self.rng.random(n_count)
             injectors = np.nonzero(coins < rate)[0]
             if len(injectors):
-                picks = rng.integers(0, n_count - 1, size=len(injectors))
-                for src_idx, pick in zip(injectors, picks):
-                    dst_idx = int(pick) + 1 if pick >= src_idx else int(pick)
-                    self.inject(s_count + int(src_idx), s_count + dst_idx)
+                picks = self.rng.integers(0, n_count - 1, size=len(injectors))
+                for src_idx, pick in zip(injectors.tolist(), picks.tolist()):
+                    dst_idx = pick + 1 if pick >= src_idx else pick
+                    self.inject(s_count + src_idx, s_count + dst_idx)
+
+        if self._in_flight and self.config.channels:
+            self._forward_and_commit()
+
+    def _forward_and_commit(self) -> None:
+        """Phases 2 and 3 as whole-array operations, in the per-message order.
+
+        Forwarding serves each switch's first min(C, occupancy) messages in
+        (switch, FIFO) order; random wandering spends one draw per served
+        message, deliveries included.  Commit takes the staged messages of
+        each destination buffer in id order: a TTL check, then acceptance
+        while the rank among surviving arrivals is below the room left after
+        forwarding.  A message served at an isolated switch goes back to the
+        tail of its own buffer with its hop count unchanged.
+        """
+        occ, head, wandering = self._occ, self._head, self.routing_table is None
 
         # phase 2: forwarding
-        wandering = self.routing_table is None
-        channels = self.config.channels
-        serve_counts = [min(channels, len(self.buffers[sw])) for sw in range(s_count)]
-        wander_draws = None
-        draw_idx = 0
+        served = np.minimum(occ, self.config.channels)
+        slots, sw, _ = self._fifo(served)
+        head += served
+        head &= self._mask
+        occ -= served
+        deliver = self._dsw[slots] == sw
         if wandering:
-            total = sum(serve_counts)
-            if total:
-                wander_draws = rng.random(total)
-        staged: list[tuple[int, Message]] = []
-        for sw in range(s_count):
-            buf = self.buffers[sw]
-            for _ in range(serve_counts[sw]):
-                msg = buf.popleft()
-                dst_idx = msg.dst - s_count
-                if self._pn_switch[dst_idx] == sw:
-                    self.delivered += 1
-                    self._hops_sum += msg.hops_taken
-                    self._latency_sum += self.step_index - msg.injected_at + 1
-                    self.delivered_this_step.append(msg)
-                    if wandering and wander_draws is not None:
-                        draw_idx += 1  # keep the draw stream aligned per serviced message
-                    continue
-                if wandering:
-                    nbrs = self._switch_neighbors[sw]
-                    draw = wander_draws[draw_idx]
-                    draw_idx += 1
-                    if not nbrs:
-                        buf.append(msg)  # isolated switch: message can only wait
-                        continue
-                    nxt = nbrs[int(draw * len(nbrs))]
-                else:
-                    nxt = int(self.routing_table[sw, dst_idx])
-                    if nxt == UNREACHABLE:  # only possible via direct inject() misuse
-                        self.unreachable_dropped += 1
-                        continue
-                staged.append((nxt, msg))
+            pick = (self.rng.random(len(slots)) * self._degree[sw]).astype(np.intp)
+            dest = self._neighbors[self._first_neighbor[sw] + pick]
+        else:
+            dest = self._next_hop[self._route_row[sw] + self._dst[slots]]
+            lost = slots[dest == UNREACHABLE]
+            if len(lost):
+                self.unreachable_dropped += len(lost)
+                self._release(lost)
+        if np.count_nonzero(deliver):
+            done = slots[deliver]
+            count = len(done)
+            self.delivered += count
+            self._hops_sum += int(self._hops[done].sum())
+            self._latency_sum += count * (self.step_index + 1) - int(self._born[done].sum())
+            self.delivered_this_step = self._release(done)
+        if not wandering:
+            staged = dest >= 0  # neither LOCAL nor UNREACHABLE
+            slots, dest = slots[staged], dest[staged]
+        elif self.delivered_this_step:
+            staged = ~deliver
+            slots, dest, sw = slots[staged], dest[staged], sw[staged]
+        if not len(slots):
+            return
 
-        # phase 3: commit in message-id order (canonical, order-independent)
-        staged.sort(key=lambda item: item[1].id)
-        capacity = self.config.buffer_capacity
-        for dest, msg in staged:
-            msg.hops_taken += 1
-            if msg.hops_taken > self.ttl:
-                self.dropped_ttl += 1
-                self.dropped_this_step.append(msg)
-                continue
-            buf = self.buffers[dest]
-            if len(buf) >= capacity:
-                self.dropped_buffer += 1
-                self.dropped_this_step.append(msg)
-                continue
-            buf.append(msg)
-            if len(buf) > self.max_buffer_occupancy:
-                self.max_buffer_occupancy = len(buf)
+        # phase 3: commit
+        key = self._id[slots]
+        hops = self._hops[slots] + 1
+        if self._stays:
+            stay = dest == sw
+            hops -= stay
+            # a buffer that takes stayers takes nothing else; keep their FIFO order
+            key = np.where(stay, self._iota[: len(slots)], key)
+        self._hops[slots] = hops
+        alive = hops <= self.ttl
+        dropped = slots[:0]
+        if np.count_nonzero(alive) < len(alive):
+            dropped = slots[~alive]
+            self.dropped_ttl += len(dropped)
+            slots, dest, key = slots[alive], dest[alive], key[alive]
+        order = (dest * self._next_msg_id + key).argsort()
+        slots, dest = slots[order], dest[order]
+        tail = occ[dest] + self._iota[: len(dest)] - dest.searchsorted(dest)
+        accept = tail < self.config.buffer_capacity
+        if np.count_nonzero(accept) < len(accept):
+            full = slots[~accept]
+            self.dropped_buffer += len(full)
+            dropped = np.concatenate([dropped, full])
+            slots, dest, tail = slots[accept], dest[accept], tail[accept]
+        if len(dropped):
+            self.dropped_this_step += self._release(dropped[self._id[dropped].argsort()])
+        if not len(slots):
+            return
+        top = int(tail.max()) + 1
+        if top > self._width:
+            self._widen(top)
+        self._ring[self._base[dest] + ((head[dest] + tail) & self._mask)] = slots
+        occ += np.bincount(dest, minlength=self._s_count)
+        if top > self.max_buffer_occupancy:
+            self.max_buffer_occupancy = top
 
     def stats(self) -> SimStats:
         delivered = self.delivered
@@ -377,4 +536,4 @@ def run(topology: Topology, config: SimConfig) -> SimStats:
     while sim.in_flight() > 0 and drained < cap:
         sim.step(inject=False)
         drained += 1
-    return sim.stats()
+    return replace(sim.stats(), drain_steps=drained, drain_capped=sim.in_flight() > 0)

@@ -103,17 +103,19 @@ def run_sync_task(
         if np.any(freqs < 0) or np.any(freqs > 1):
             raise ConfigError("initial frequencies must lie in [0, 1]")
 
-    pending_reemit: list[int] = []  # pn indices whose payload was lost last step
-
     def emit(pn_idx: int) -> None:
         pick = int(task_rng.integers(n - 1))
         dst_idx = pick + 1 if pick >= pn_idx else pick
-        msg = sim.inject(s_count + pn_idx, s_count + dst_idx, payload=float(freqs[pn_idx]))
-        if msg is None:  # entry buffer full; replace the stream next step
-            pending_reemit.append(pn_idx)
+        sim.inject(s_count + pn_idx, s_count + dst_idx, payload=float(freqs[pn_idx]))
+
+    def lost_senders() -> list[int]:
+        # dropped_this_step lists the step's losses and then every entry drop
+        # of the emits since, so each lost payload is replaced exactly once
+        return [msg.src - s_count for msg in sim.dropped_this_step if msg.payload is not None]
 
     for pn in range(n):
         emit(pn)
+    pending_reemit = lost_senders()  # pn indices whose payload was lost last step
 
     stddevs = [float(np.std(freqs))]
     view = freqs.view()
@@ -122,8 +124,7 @@ def run_sync_task(
     for step in range(1, horizon + 1):
         sim.step(inject=False)
 
-        replacements, pending_reemit = sorted(pending_reemit), []
-        for pn in replacements:
+        for pn in sorted(pending_reemit):
             emit(pn)
 
         arrivals: dict[int, list] = {}
@@ -135,9 +136,7 @@ def run_sync_task(
                 freqs[pn] = (freqs[pn] + msg.payload) / 2.0
                 emit(pn)
 
-        for msg in sim.dropped_this_step:
-            if msg.payload is not None:
-                pending_reemit.append(msg.src - s_count)
+        pending_reemit = lost_senders()
 
         stddevs.append(float(np.std(freqs)))
         if on_step is not None:

@@ -194,6 +194,7 @@ class Topology:
         "_adjacency",
         "_switch_adjacency",
         "_pn_switch",
+        "_switch_hops",
     )
 
     def __init__(
@@ -251,6 +252,7 @@ class Topology:
                 pn_switch[i] = nbrs[0]
         pn_switch.setflags(write=False)
         self._pn_switch = pn_switch
+        self._switch_hops = None  # [S, S] hop counts, filled once by metrics._switch_hops
 
     # -- basic accessors ---------------------------------------------------
 
@@ -708,7 +710,8 @@ def import_edge_list(text: str) -> Topology:
 
     The family label and seed come from the header; generation parameters
     that the format does not carry (alpha, k_s, k_max) are restored to the
-    family defaults.
+    family defaults.  A malformed or non-numeric row raises ConfigError, a
+    processing node not wired to exactly one switch InvariantError.
     """
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith(EDGE_LIST_HEADER):
@@ -730,15 +733,18 @@ def import_edge_list(text: str) -> Topology:
     links: dict[tuple[int, int], float] = {}
     for line in lines[1:]:
         parts = line.split()
-        if parts[0] == "N" and len(parts) == 6:
-            node_id = int(parts[1])
-            kinds[node_id] = parts[2]
-            coords[node_id] = (float(parts[3]), float(parts[4]), float(parts[5]))
-        elif parts[0] == "L" and len(parts) == 4:
-            a, b = int(parts[1]), int(parts[2])
-            links[(a, b)] = float(parts[3])
-        else:
-            raise ConfigError(f"malformed edge-list row: {line!r}")
+        try:
+            if parts[0] == "N" and len(parts) == 6:
+                node_id = int(parts[1])
+                kinds[node_id] = parts[2]
+                coords[node_id] = (float(parts[3]), float(parts[4]), float(parts[5]))
+                continue
+            if parts[0] == "L" and len(parts) == 4:
+                links[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                continue
+        except ValueError as exc:
+            raise ConfigError(f"non-numeric field in edge-list row: {line!r}") from exc
+        raise ConfigError(f"malformed edge-list row: {line!r}")
 
     total = len(kinds)
     if sorted(kinds) != list(range(total)):
@@ -747,7 +753,7 @@ def import_edge_list(text: str) -> Topology:
     if any(kinds[i] != "S" for i in range(n_switch)):
         raise ConfigError("switch node ids must precede processing node ids")
     positions = np.array([coords[i] for i in range(total)])
-    return Topology(
+    topology = Topology(
         family,
         seed,
         n_switch,
@@ -758,3 +764,5 @@ def import_edge_list(text: str) -> Topology:
         k_s=None,
         k_max=10 if family == "3DRMRealistic" else None,
     )
+    topology.pn_switches()  # InvariantError unless every PN is a leaf on one switch
+    return topology

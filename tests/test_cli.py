@@ -106,9 +106,20 @@ def test_non_leaf_processing_node_exit_code(tmp_path, capsys):
         "L 0 1 1.0\nL 0 2 0.01\nL 1 2 0.01\nL 1 3 0.01\n",
         encoding="utf-8",
     )
-    for command in ("metrics", "simulate"):
+    for command in ("metrics", "simulate", "sync"):
         assert main([command, "--topology", str(topo)]) == 1
         assert "processing node 2 " in capsys.readouterr().err
+
+
+def test_non_numeric_topology_field_exit_code(tmp_path, capsys):
+    topo = tmp_path / "topo.txt"
+    topo.write_text(
+        "# multitude-topology v1 family=2DCA seed=0\n"
+        "N 0 S 0.0 0.0 0.0\nN 1 P x 0.0 0.0\nL 0 1 0.01\n",
+        encoding="utf-8",
+    )
+    assert main(["metrics", "--topology", str(topo)]) == 1
+    assert "non-numeric" in capsys.readouterr().err
 
 
 def test_infeasible_generation_exit_code():

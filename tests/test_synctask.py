@@ -78,6 +78,21 @@ def test_payload_population_is_conserved():
     run_sync_task(topo, wander_cfg(6), horizon=200, on_step=check)
 
 
+def test_entry_drops_are_reemitted_once():
+    # one-message buffers drop payloads on entry; each loss is replaced once,
+    # so the population stays at N instead of doubling every step
+    topo = build(TopologyConfig("3DRMStandard", 32, 32, seed=4))
+    cfg = SimConfig(routing=Routing.RANDOM_WANDERING, channels=1, buffer_capacity=1, seed=5)
+    lost = []
+
+    def check(step, freqs, sim):
+        lost.append(len(sim.dropped_this_step))
+        assert sim.in_flight() + len(sim.dropped_this_step) <= 32
+
+    run_sync_task(topo, cfg, horizon=50, on_step=check)
+    assert max(lost) > 0
+
+
 def test_ttl_drop_triggers_reemission():
     # a 1-hop TTL kills almost every payload in flight; the task must keep
     # re-emitting and still make progress instead of going silent

@@ -328,6 +328,21 @@ def test_import_rejects_garbage():
         import_edge_list("# multitude-topology v1 family=XX seed=0\n")
 
 
+@pytest.mark.parametrize("row", ["N 1 S 1.0 zero 0.0", "N one S 1.0 0.0 0.0", "L 0 1 long"])
+def test_import_maps_non_numeric_fields_to_config_error(row):
+    rows = ["N 0 S 0.0 0.0 0.0", "N 1 S 1.0 0.0 0.0", "L 0 1 1.0"]
+    rows[1 if row.startswith("N") else 2] = row
+    text = "# multitude-topology v1 family=2DCA seed=0\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ConfigError, match="non-numeric"):
+        import_edge_list(text)
+
+
+def test_import_rejects_processing_node_on_two_switches():
+    text = export_edge_list(_pn_on_two_switches())
+    with pytest.raises(InvariantError, match="processing node 2 "):
+        import_edge_list(text)
+
+
 # -- type-level invariants ------------------------------------------------------------
 
 
