@@ -108,7 +108,10 @@ class _Options:
             raw = self._file[flag]
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
-            return cast(raw)
+            try:
+                return cast(raw)
+            except ValueError:
+                raise ConfigError(f"config value {flag} = {raw!r} is not a valid {cast.__name__}") from None
         return default
 
 
@@ -203,7 +206,10 @@ def _cmd_experiment(opt: _Options, experiment_id: str) -> None:
     if experiment_id == "robustness":
         deletions = opt.get("deletions", str)
         if deletions:
-            sweep = tuple(int(d) for d in str(deletions).split(",") if str(d).strip())
+            try:
+                sweep = tuple(int(d) for d in str(deletions).split(",") if str(d).strip())
+            except ValueError:
+                raise ConfigError(f"--deletions needs a comma list of integers, got {deletions!r}") from None
     spec = harness.ExperimentSpec(
         experiment=experiment_id,
         families=families,

@@ -269,10 +269,6 @@ class Topology:
         return self._positions
 
     @property
-    def switch_ids(self) -> range:
-        return range(self.n_switch)
-
-    @property
     def processing_ids(self) -> range:
         return range(self.n_switch, self.n_nodes)
 
@@ -292,9 +288,6 @@ class Topology:
 
     def link_dict(self) -> dict[tuple[int, int], float]:
         return dict(self._links)
-
-    def has_link(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self._links
 
     def link_length(self, a: int, b: int) -> float:
         return self._links[(a, b) if a < b else (b, a)]

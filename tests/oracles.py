@@ -5,15 +5,19 @@ plain-dict BFS, a tuple-heap Dijkstra, and a union-find, all working off raw
 edge lists rather than Topology accessors.  ``ReferenceSimulation`` is
 the message engine as it was before the array-state rewrite: per-switch
 deques of ``Message`` objects served one message at a time.
+``reference_run`` is ``simcore.run`` as it was before lanes, driving one
+``ReferenceSimulation`` through the horizon and the drain.
 """
 
 import heapq
 from collections import deque
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
 
 from multitude_sim.simcore import (
+    DRAIN_CAP_FACTOR,
     UNREACHABLE,
     Message,
     Routing,
@@ -322,3 +326,22 @@ class ReferenceSimulation:
             ),
             max_buffer_occupancy=self.max_buffer_occupancy,
         )
+
+
+def reference_run(topology: Topology, config: SimConfig) -> SimStats:
+    """Run ``horizon`` injected steps, then drain in-flight traffic.
+
+    The drain phase repeats steps with injection disabled until no message
+    remains buffered (or a cap of 50 * horizon extra steps is hit), so hop and
+    latency averages are not biased toward short paths cut off at the end of
+    measurement.
+    """
+    sim = ReferenceSimulation(topology, config)
+    for _ in range(config.horizon):
+        sim.step(inject=True)
+    drained = 0
+    cap = DRAIN_CAP_FACTOR * config.horizon
+    while sim.in_flight() > 0 and drained < cap:
+        sim.step(inject=False)
+        drained += 1
+    return replace(sim.stats(), drain_steps=drained, drain_capped=sim.in_flight() > 0)

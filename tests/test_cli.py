@@ -122,6 +122,15 @@ def test_non_numeric_topology_field_exit_code(tmp_path, capsys):
     assert "non-numeric" in capsys.readouterr().err
 
 
+def test_non_numeric_option_values_exit_code(tmp_path, capsys):
+    assert main(["experiment", "robustness", "--deletions", "a,b"]) == 1
+    assert "--deletions" in capsys.readouterr().err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("family = 2DCA\nn = abc\n", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert "n = 'abc'" in capsys.readouterr().err
+
+
 def test_infeasible_generation_exit_code():
     rc = main(["generate", "--family", "3DRMRealistic", "--kmax", "1", "--ks", "6"])
     assert rc == 2

@@ -3,7 +3,9 @@
 ``oracles.ReferenceSimulation`` is the deque engine the array state replaced.
 Both engines are driven with the same topology, config and seed; every
 step's delivered and dropped records (ids, hops and order), every counter
-and the final statistics must agree exactly.
+and the final statistics must agree exactly.  ``simcore.run_many`` runs
+jobs as lanes of one simulation; each lane must give exactly what
+``oracles.reference_run`` gives for its job alone.
 """
 
 from dataclasses import replace
@@ -12,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitude_sim import TopologyConfig, build, remove_random_links, simcore, synctask
+from multitude_sim import ConfigError, TopologyConfig, build, remove_random_links, simcore, synctask
 from multitude_sim.simcore import Routing, SimConfig, Simulation
-from oracles import ReferenceSimulation
+from oracles import ReferenceSimulation, reference_run
 
 # 2DCA on 64 switches has 112 switch links; deleting 40-80 strands switches,
 # whose messages go back to their own buffer
@@ -114,13 +116,80 @@ def test_run_matches_reference_engine(topo_key, config):
     # a short horizon keeps the drain cap (50 steps per horizon step) small
     config = replace(config, horizon=config.horizon % 8)
     topo = make_topology(*topo_key)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simcore, "Simulation", ReferenceSimulation)
-        ref = simcore.run(topo, config)
     new = simcore.run(topo, config)
-    assert new == ref
+    assert new == reference_run(topo, config)
     assert new.drain_capped == (new.in_flight_at_end > 0)
     assert new.drain_steps <= simcore.DRAIN_CAP_FACTOR * config.horizon
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lanes=st.lists(st.tuples(TOPOLOGIES, st.integers(0, 2**32 - 1)), min_size=1, max_size=8),
+    config=CONFIGS,
+)
+def test_run_many_matches_reference_runs(lanes, config):
+    # lanes mix families, sizes and faults; only the seed differs between configs
+    config = replace(config, horizon=config.horizon % 8)
+    jobs = [(make_topology(*topo_key), replace(config, seed=seed)) for topo_key, seed in lanes]
+    assert simcore.run_many(jobs) == [reference_run(topo, cfg) for topo, cfg in jobs]
+
+
+def test_run_many_lanes_leave_the_drain_on_their_own():
+    # the connected lane empties early; the faulted 2DCA lane keeps messages
+    # trapped until the cap, and its stats are taken when it hits the cap
+    config = SimConfig(injection_rate=0.1, routing=Routing.RANDOM_WANDERING, horizon=10)
+    jobs = [
+        (make_topology("3DRMStandard", 1, 0), replace(config, seed=3)),
+        (make_topology("2DCA", 0, 80), replace(config, seed=4)),
+        (make_topology("3DCA", 2, 0), replace(config, seed=5)),
+    ]
+    results = simcore.run_many(jobs)
+    assert results == [reference_run(topo, cfg) for topo, cfg in jobs]
+    drained, capped, _ = results
+    assert not drained.drain_capped and drained.in_flight_at_end == 0
+    assert capped.drain_capped and capped.drain_steps == simcore.DRAIN_CAP_FACTOR * 10
+    assert drained.drain_steps < capped.drain_steps
+
+
+def test_run_many_lanes_keep_their_own_ttl():
+    # lattices of 4 and 9 switches cut into pieces: messages between pieces
+    # wander until their lane's own TTL of 100 * S hops (400 and 900) drops them
+    def cut(size, deletions):
+        topo = build(TopologyConfig("2DCA", size, size, seed=0))
+        return remove_random_links(topo, deletions, np.random.default_rng(1))
+
+    config = SimConfig(injection_rate=0.3, routing=Routing.RANDOM_WANDERING, horizon=20)
+    jobs = [(cut(4, 2), replace(config, seed=1)), (cut(9, 6), replace(config, seed=2))]
+    small, large = simcore.run_many(jobs)
+    assert [small, large] == [reference_run(topo, cfg) for topo, cfg in jobs]
+    assert small.dropped_ttl and large.dropped_ttl
+    assert small.drain_steps < 400 + 1 < large.drain_steps
+
+
+def test_closed_lane_takes_no_further_part():
+    config = SimConfig(injection_rate=0.0, routing=Routing.RANDOM_WANDERING)
+    topo = make_topology("3DCA", 0, 0)
+    sim = Simulation.lanes([topo, topo], config, [1, 2])
+    pns = topo.n_switch * 2
+    sim.inject(pns, pns + 1)
+    sim.inject(pns + 27, pns + 28)
+    stats = sim.close_lane(0)
+    assert stats.injected == 1 and stats.in_flight_at_end == 1
+    assert sim.lane_in_flight() == [0, 1] and sim.in_flight() == 1
+    for _ in range(5):
+        sim.step()
+    assert sim.stats(0) == replace(stats, in_flight_at_end=0)
+
+
+def test_run_many_rejects_configs_that_differ_beyond_the_seed():
+    topo = make_topology("3DCA", 0, 0)
+    config = SimConfig(horizon=3)
+    assert simcore.run_many([]) == []
+    for other in (replace(config, channels=2), replace(config, ttl=5), replace(config, horizon=4)):
+        with pytest.raises(ConfigError):
+            simcore.run_many([(topo, config), (topo, other)])
+    same = simcore.run_many([(topo, config), (topo, replace(config, seed=1))])
+    assert same == [simcore.run(topo, config), simcore.run(topo, replace(config, seed=1))]
 
 
 @settings(max_examples=25, deadline=None)

@@ -234,3 +234,19 @@ def test_isolated_switch_holds_messages():
         + stats.unreachable_dropped
         + stats.in_flight_at_end
     )
+
+
+def test_lanes_share_one_id_space():
+    # lane k's switches follow lane k-1's, and its PNs follow every switch
+    # and lane k-1's PNs, as in the disjoint union of the topologies
+    small, large = grid9(), build(TopologyConfig("3DRMStandard", 16, 16, seed=2))
+    sim = Simulation.lanes([small, large], SimConfig(seed=0), [5, 6])
+    union = sim.topology
+    assert (union.n_switch, union.n_processing) == (25, 25)
+    for j in range(16):
+        assert union.attached_switch(25 + 9 + j) == 9 + large.attached_switch(16 + j)
+    assert union.switch_neighbors(9) == tuple(9 + s for s in large.switch_neighbors(0))
+    with pytest.raises(ValueError):
+        sim.inject(25, 25 + 9)  # a lane-0 PN cannot reach a lane-1 PN
+    assert sim.inject(25 + 9, 25 + 10) is not None
+    assert sim.lane_in_flight() == [0, 1]
