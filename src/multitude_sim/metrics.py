@@ -71,11 +71,12 @@ _BLOCK = 64  # sources relaxed together; bounds the [arcs, block] candidate arra
 
 def _switch_arcs(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both directions of every switch link as (tail, head, length), sorted by (head, tail)."""
-    pairs = topology.switch_link_pairs()
-    length = np.array([topology.link_length(a, b) for a, b in pairs] * 2, dtype=np.float64)
-    tail, head = np.array(pairs + [(b, a) for a, b in pairs], dtype=np.int32).reshape(-1, 2).T
+    lo, hi, length = topology.link_arrays()
+    switch_link = hi < topology.n_switch
+    lo, hi, length = lo[switch_link].astype(np.int32), hi[switch_link].astype(np.int32), length[switch_link]
+    tail, head = np.concatenate([lo, hi]), np.concatenate([hi, lo])
     order = np.lexsort((tail, head))
-    return tail[order], head[order], length[order]
+    return tail[order], head[order], np.concatenate([length, length])[order]
 
 
 def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachable) -> np.ndarray:
@@ -157,7 +158,10 @@ def pn_distance_matrix(topology: Topology) -> np.ndarray:
     """
     pn_switch = topology.pn_switches()
     s_count = topology.n_switch
-    stubs = np.array([topology.link_length(sw, s_count + i) for i, sw in enumerate(pn_switch.tolist())])
+    _, hi, length = topology.link_arrays()
+    stub = hi >= s_count  # every PN is a leaf, so these are its links, one each
+    stubs = np.empty(topology.n_processing)
+    stubs[hi[stub] - s_count] = length[stub]
     dist = _relax(_switch_arcs(topology), s_count, pn_switch, stubs, np.inf)[pn_switch].T + stubs
     np.fill_diagonal(dist, 0.0)
     return dist

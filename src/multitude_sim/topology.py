@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,6 +74,9 @@ DUPLICATE_RESAMPLE_LIMIT = 64
 REPAIR_ATTEMPT_BUDGET = 1000
 
 EDGE_LIST_HEADER = "# multitude-topology v1"
+
+# a link set: {(a, b): length}, or (a, b, length) as three equal-length sequences
+Links = Mapping[tuple[int, int], float] | tuple[Sequence[int], Sequence[int], Sequence[float]]
 
 
 class ConfigError(ValueError):
@@ -177,8 +181,14 @@ class Topology:
 
     Switch nodes occupy ids ``0 .. n_switch-1`` and processing nodes
     ``n_switch .. n_switch+n_processing-1``.  Links are undirected, stored
-    once with endpoints ordered low id first, and carry a cached Euclidean
-    length (the lattice-family stub links are pinned to 0.01).
+    once with endpoints ordered low id first and sorted by (low, high), and
+    carry a cached Euclidean length (the lattice-family stub links are pinned
+    to 0.01).  They are kept as three read-only arrays (``link_arrays``).
+
+    ``links`` maps (a, b) to a length, or is an (a, b, length) triple of
+    equal-length sequences; either way a self-loop, an unknown node or a
+    second link between the same pair raises InvariantError naming the first
+    offending entry.
     """
 
     __slots__ = (
@@ -190,8 +200,11 @@ class Topology:
         "n_switch",
         "n_processing",
         "_positions",
-        "_links",
-        "_adjacency",
+        "_lo",
+        "_hi",
+        "_length",
+        "_neighbors",
+        "_starts",
         "_switch_adjacency",
         "_pn_switch",
         "_switch_hops",
@@ -204,7 +217,7 @@ class Topology:
         n_switch: int,
         n_processing: int,
         positions: np.ndarray,
-        links: dict[tuple[int, int], float],
+        links: Links,
         *,
         alpha: float | None = None,
         k_s: float | None = None,
@@ -217,39 +230,56 @@ class Topology:
         self.k_max = k_max
         self.n_switch = int(n_switch)
         self.n_processing = int(n_processing)
+        n_nodes = self.n_nodes
         pos = np.array(positions, dtype=float)
-        if pos.shape != (self.n_nodes, 3):
-            raise ValueError(f"positions must have shape ({self.n_nodes}, 3)")
+        if pos.shape != (n_nodes, 3):
+            raise ValueError(f"positions must have shape ({n_nodes}, 3)")
         pos.setflags(write=False)
         self._positions = pos
 
-        clean: dict[tuple[int, int], float] = {}
-        for (a, b), length in links.items():
-            a, b = int(a), int(b)
-            if a == b:
-                raise InvariantError(f"self-loop on node {a}")
-            if not (0 <= a < self.n_nodes and 0 <= b < self.n_nodes):
-                raise InvariantError(f"link ({a}, {b}) references an unknown node")
-            key = (a, b) if a < b else (b, a)
-            if key in clean:
-                raise InvariantError(f"duplicate link {key}")
-            clean[key] = float(length)
-        self._links = dict(sorted(clean.items()))
+        a, b, length = links if isinstance(links, tuple) else _link_arrays(links)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        length = np.asarray(length, dtype=float)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = lo * n_nodes + hi  # unique per valid pair; a link sharing an invalid one's key comes after it
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(len(key), dtype=bool)
+        repeated[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # all but the first of equal keys
+        bad = np.flatnonzero((a == b) | (lo < 0) | (hi >= n_nodes) | repeated)
+        if len(bad):
+            i = bad[0]
+            if a[i] == b[i]:
+                raise InvariantError(f"self-loop on node {a[i]}")
+            if lo[i] < 0 or hi[i] >= n_nodes:
+                raise InvariantError(f"link ({a[i]}, {b[i]}) references an unknown node")
+            raise InvariantError(f"duplicate link {(lo.item(i), hi.item(i))}")
+        self._lo, self._hi, self._length = lo[order], hi[order], length[order]
+        for arr in (self._lo, self._hi, self._length):
+            arr.setflags(write=False)
 
-        adjacency: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for a, b in self._links:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        self._adjacency = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+        # node i's neighbours, ascending, are _neighbors[_starts[i] : _starts[i + 1]]
+        ends = np.concatenate([self._lo, self._hi])
+        others = np.concatenate([self._hi, self._lo])
+        self._neighbors = others[np.argsort(ends * n_nodes + others)]
+        self._starts = np.zeros(n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ends, minlength=n_nodes), out=self._starts[1:])
+        for arr in (self._neighbors, self._starts):
+            arr.setflags(write=False)
+        # a switch's switch neighbours are the low-id prefix of its neighbours
+        switch_link = self._hi < self.n_switch
+        degree = np.bincount(
+            np.concatenate([self._lo[switch_link], self._hi[switch_link]]), minlength=self.n_switch
+        ).tolist()
+        starts = self._starts.tolist()
+        flat = self._neighbors[: starts[self.n_switch]].tolist()
         self._switch_adjacency = tuple(
-            tuple(nb for nb in self._adjacency[s] if nb < self.n_switch)
-            for s in range(self.n_switch)
+            tuple(flat[starts[s] : starts[s] + degree[s]]) for s in range(self.n_switch)
         )
-        pn_switch = np.full(self.n_processing, -1, dtype=np.int64)
-        for i in range(self.n_processing):
-            nbrs = self._adjacency[self.n_switch + i]
-            if len(nbrs) == 1 and nbrs[0] < self.n_switch:
-                pn_switch[i] = nbrs[0]
+        # a PN is a leaf when its only neighbour is a switch
+        first = np.append(self._neighbors, n_nodes)[self._starts[self.n_switch : n_nodes]]
+        leaf = (np.diff(self._starts[self.n_switch :]) == 1) & (first < self.n_switch)
+        pn_switch = np.where(leaf, first, -1)
         pn_switch.setflags(write=False)
         self._pn_switch = pn_switch
         self._switch_hops = None  # [S, S] hop counts, filled once by metrics._switch_hops
@@ -262,7 +292,7 @@ class Topology:
 
     @property
     def n_links(self) -> int:
-        return len(self._links)
+        return len(self._lo)
 
     @property
     def positions(self) -> np.ndarray:
@@ -283,20 +313,31 @@ class Topology:
         for i in range(self.n_nodes):
             yield i, self.kind(i), self.position(i)
 
+    def link_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (low id, high id, length) per link, sorted by (low, high)."""
+        return self._lo, self._hi, self._length
+
     def link_items(self) -> Iterator[tuple[tuple[int, int], float]]:
-        return iter(self._links.items())
+        return zip(zip(self._lo.tolist(), self._hi.tolist()), self._length.tolist())
 
     def link_dict(self) -> dict[tuple[int, int], float]:
-        return dict(self._links)
+        return dict(self.link_items())
 
     def link_length(self, a: int, b: int) -> float:
-        return self._links[(a, b) if a < b else (b, a)]
+        key = (a, b) if a < b else (b, a)
+        first, last = self._lo.searchsorted(key[0]), self._lo.searchsorted(key[0], side="right")
+        i = first + self._hi[first:last].searchsorted(key[1])
+        if i == last or self._hi[i] != key[1]:
+            raise KeyError(key)
+        return self._length.item(i)
 
     def switch_link_pairs(self) -> list[tuple[int, int]]:
-        return [(a, b) for (a, b) in self._links if b < self.n_switch]
+        switch_link = self._hi < self.n_switch
+        return list(zip(self._lo[switch_link].tolist(), self._hi[switch_link].tolist()))
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
-        return self._adjacency[node_id]
+        node = range(self.n_nodes)[node_id]  # negative ids count from the end, as tuple indexing does
+        return tuple(self._neighbors[self._starts[node] : self._starts[node + 1]].tolist())
 
     def switch_neighbors(self, switch_id: int) -> tuple[int, ...]:
         return self._switch_adjacency[switch_id]
@@ -315,7 +356,7 @@ class Topology:
             raise InvariantError(f"processing node {self.n_switch + bad[0]} must attach to exactly one switch node")
         return self._pn_switch
 
-    def with_links(self, links: dict[tuple[int, int], float]) -> "Topology":
+    def with_links(self, links: Links) -> "Topology":
         """New topology with the same nodes and metadata but a different link set."""
         return Topology(
             self.family,
@@ -339,65 +380,79 @@ class Topology:
         if self.family == "2DCA" and np.any(pos[:, 2] != 0.0):
             raise InvariantError("2DCA positions must have z = 0")
         self.pn_switches()
-        for (a, b), length in self._links.items():
-            is_stub = b >= self.n_switch
-            if is_stub and self.family in CA_FAMILIES:
-                if length != CA_STUB_LENGTH:
-                    raise InvariantError(f"lattice stub {(a, b)} must have length {CA_STUB_LENGTH}")
-                continue
+        lo, hi, length = self._lo, self._hi, self._length
+        lattice_stub = (hi >= self.n_switch) & (self.family in CA_FAMILIES)
+        # numpy's sum of squares can differ from math.dist in the last bits, so
+        # flag at half the tolerance and decide each flagged link with math.dist
+        approx = np.sqrt(((pos[lo] - pos[hi]) ** 2).sum(axis=1))
+        flagged = np.where(lattice_stub, length != CA_STUB_LENGTH, np.abs(length - approx) > 0.5e-9)
+        for i in np.flatnonzero(flagged).tolist():
+            a, b, cached = lo.item(i), hi.item(i), length.item(i)
+            if lattice_stub[i]:
+                raise InvariantError(f"lattice stub {(a, b)} must have length {CA_STUB_LENGTH}")
             true_len = math.dist(pos[a], pos[b])
-            if abs(length - true_len) > 1e-9:
+            if abs(cached - true_len) > 1e-9:
                 raise InvariantError(
-                    f"link {(a, b)} caches length {length}, geometry says {true_len}"
+                    f"link {(a, b)} caches length {cached}, geometry says {true_len}"
                 )
         if self.family == "3DRMRealistic":
             cap = self.k_max if self.k_max is not None else 0
-            worst = max((self.switch_degree(s) for s in range(self.n_switch)), default=0)
+            worst = max(map(len, self._switch_adjacency), default=0)
             if worst > cap:
                 raise InvariantError(f"switch degree {worst} exceeds k_max={cap}")
         if require_connected and _switch_components(self)[0] > 1:
             raise InvariantError("switch subgraph is not connected")
 
 
+def _link_arrays(links: Mapping[tuple[int, int], float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, length) arrays of a {(a, b): length} mapping, in its iteration order."""
+    ends = np.fromiter(chain.from_iterable(links), dtype=np.int64, count=2 * len(links))
+    return ends[0::2], ends[1::2], np.fromiter(links.values(), dtype=float, count=len(links))
+
+
 def _switch_components(topology: Topology) -> tuple[int, np.ndarray]:
-    """(component count, per-switch component label) via iterative BFS."""
+    """(component count, per-switch component label), labels numbered by lowest member.
+
+    Min-label propagation over the switch links with pointer jumping: every
+    round a switch takes the lowest label among itself and its neighbours,
+    then the label its label's switch holds, until nothing changes.
+    """
     s_count = topology.n_switch
-    label = np.full(s_count, -1, dtype=np.int64)
-    n_comp = 0
-    for start in range(s_count):
-        if label[start] >= 0:
-            continue
-        label[start] = n_comp
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for nb in topology.switch_neighbors(node):
-                    if label[nb] < 0:
-                        label[nb] = n_comp
-                        nxt.append(nb)
-            frontier = nxt
-        n_comp += 1
-    return n_comp, label
+    lo, hi, _ = topology.link_arrays()
+    switch_link = hi < s_count
+    tail = np.concatenate([lo[switch_link], hi[switch_link]])
+    head = np.concatenate([hi[switch_link], lo[switch_link]])
+    label = np.arange(s_count)
+    while True:
+        nxt = label.copy()
+        np.minimum.at(nxt, head, label[tail])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+    root = label == np.arange(s_count)
+    return int(root.sum()), np.cumsum(root)[label] - 1
 
 
 # -- sampling kernel ---------------------------------------------------------
 
 
-def _weighted_pick(ids, distances, alpha: float, rng: np.random.Generator, size=None):
-    """Draw ids with probability proportional to distance^(-alpha)."""
-    distances = np.asarray(distances, dtype=float)
+def _cumulative_weights(distances: np.ndarray, alpha: float) -> np.ndarray:
+    """Running sums of distance^(-alpha) along the last axis (a read-only view when alpha is 0).
+
+    A row of a 2-D table is the same left fold as a cumsum of that row alone,
+    so a table built once draws exactly what per-pick cumsums would.
+    """
     if alpha == 0.0:
-        cum = np.arange(1.0, len(distances) + 1.0)
-    else:
-        cum = np.cumsum(distances ** -alpha)
-    total = cum[-1]
+        return np.broadcast_to(np.arange(1.0, distances.shape[-1] + 1.0), distances.shape)
+    return np.cumsum(distances ** -alpha, axis=-1)
+
+
+def _draw(cum: np.ndarray, rng: np.random.Generator, size: int | None = None):
+    """Index (or ``size`` indices) into one cumulative-weight row, one ``rng.random()`` each."""
     if size is None:
-        idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        return int(ids[min(idx, len(cum) - 1)])
-    idx = np.searchsorted(cum, rng.random(size) * total, side="right")
-    np.clip(idx, 0, len(cum) - 1, out=idx)
-    return np.asarray(ids)[idx]
+        return min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), len(cum) - 1)
+    return np.minimum(cum.searchsorted(rng.random(size) * cum[-1], side="right"), len(cum) - 1)
 
 
 def sample_neighbor(
@@ -423,7 +478,8 @@ def sample_neighbor(
     dists = np.fromiter((c[1] for c in candidates), dtype=float, count=len(candidates))
     if np.any(dists <= 0):
         raise ValueError(f"non-positive candidate distance for node {source}")
-    return _weighted_pick(ids, dists, float(alpha), rng, size)
+    idx = _draw(_cumulative_weights(dists, float(alpha)), rng, size)
+    return int(ids[idx]) if size is None else ids[idx]
 
 
 # -- builders -----------------------------------------------------------------
@@ -451,48 +507,20 @@ def build_ca(config: TopologyConfig) -> Topology:
     m = _lattice_side(config.family, count)
     dims = 2 if config.family == "2DCA" else 3
     spacing = 1.0 / (m - 1) if m > 1 else 0.0
+    grid = np.arange(m) / (m - 1) if m > 1 else np.zeros(1)
 
-    grid = [0.0] if m == 1 else [i / (m - 1) for i in range(m)]
+    # switch (ix, iy[, iz]) has id (ix * m + iy)[ * m + iz] and sits at grid[ix], grid[iy][, grid[iz]]
     sw_pos = np.zeros((count, 3))
-    links: dict[tuple[int, int], float] = {}
+    sw_pos[:, :dims] = grid[np.indices((m,) * dims).reshape(dims, count).T]
+    ids = np.arange(count).reshape((m,) * dims)
+    along = [np.moveaxis(ids, axis, 0) for axis in range(dims)]
 
-    if dims == 2:
-        def node_id(ix, iy):
-            return ix * m + iy
-
-        for ix in range(m):
-            for iy in range(m):
-                sw_pos[node_id(ix, iy)] = (grid[ix], grid[iy], 0.0)
-        for ix in range(m):
-            for iy in range(m):
-                a = node_id(ix, iy)
-                if ix + 1 < m:
-                    links[(a, node_id(ix + 1, iy))] = spacing
-                if iy + 1 < m:
-                    links[(a, node_id(ix, iy + 1))] = spacing
-    else:
-        def node_id(ix, iy, iz):
-            return (ix * m + iy) * m + iz
-
-        for ix in range(m):
-            for iy in range(m):
-                for iz in range(m):
-                    sw_pos[node_id(ix, iy, iz)] = (grid[ix], grid[iy], grid[iz])
-        for ix in range(m):
-            for iy in range(m):
-                for iz in range(m):
-                    a = node_id(ix, iy, iz)
-                    if ix + 1 < m:
-                        links[(a, node_id(ix + 1, iy, iz))] = spacing
-                    if iy + 1 < m:
-                        links[(a, node_id(ix, iy + 1, iz))] = spacing
-                    if iz + 1 < m:
-                        links[(a, node_id(ix, iy, iz + 1))] = spacing
-
-    # processing node i rides on switch i; its stub length is nominal
+    # each switch links to its successor along every axis; processing node i
+    # rides on switch i, and its stub length is nominal
     positions = np.vstack([sw_pos, sw_pos])
-    for i in range(count):
-        links[(i, count + i)] = CA_STUB_LENGTH
+    a = np.concatenate([g[:-1].ravel() for g in along] + [ids.ravel()])
+    b = np.concatenate([g[1:].ravel() for g in along] + [count + ids.ravel()])
+    length = np.where(b < count, spacing, CA_STUB_LENGTH)
 
     topo = Topology(
         config.family,
@@ -500,22 +528,27 @@ def build_ca(config: TopologyConfig) -> Topology:
         count,
         count,
         positions,
-        links,
+        (a, b, length),
     )
     topo.validate()
     return topo
 
 
-def _distinct_positions(rng: np.random.Generator, count: int, taken: set) -> np.ndarray:
-    """Uniform positions in the unit cube, re-drawn on exact coordinate collision."""
+def _distinct_positions(rng: np.random.Generator, count: int, taken: np.ndarray) -> np.ndarray:
+    """Uniform positions in the unit cube, a row re-drawn while it equals a row of
+    ``taken`` or an earlier row.  Rows are re-drawn in index order, as a row-by-row
+    scan would."""
     pos = rng.random((count, 3))
-    for i in range(count):
-        key = tuple(pos[i])
-        while key in taken:
-            pos[i] = rng.random(3)
-            key = tuple(pos[i])
-        taken.add(key)
+    while (i := _first_repeat(np.concatenate([taken, pos])) - len(taken)) >= 0:
+        pos[i] = rng.random(3)
     return pos
+
+
+def _first_repeat(rows: np.ndarray) -> int:
+    """Lowest index of a row equal to a row before it, or -1."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep index order
+    later = order[1:][(rows[order[1:]] == rows[order[:-1]]).all(axis=1)]
+    return int(later.min()) if len(later) else -1
 
 
 def build_random_multitude(config: TopologyConfig) -> Topology:
@@ -539,43 +572,42 @@ def build_random_multitude(config: TopologyConfig) -> Topology:
     k_max = config.k_max if realistic else None
     rng = np.random.default_rng(config.seed)
 
-    taken: set = set()
-    pn_pos = _distinct_positions(rng, n, taken)
-    sw_pos = _distinct_positions(rng, s, taken)
+    pn_pos = _distinct_positions(rng, n, np.empty((0, 3)))
+    sw_pos = _distinct_positions(rng, s, pn_pos)
     positions = np.vstack([sw_pos, pn_pos])
-
-    links: dict[tuple[int, int], float] = {}
 
     # each processing node attaches to its nearest switch
     d2 = ((pn_pos[:, None, :] - sw_pos[None, :, :]) ** 2).sum(axis=2)
     nearest = d2.argmin(axis=1)
-    for i in range(n):
-        sw = int(nearest[i])
-        links[(sw, s + i)] = math.sqrt(float(d2[i, sw]))
 
+    src_ids: list[int] = []
+    dst_ids: list[int] = []
+    lengths: list[float] = []
     if s > 1:
-        diff = sw_pos[:, None, :] - sw_pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        all_ids = np.arange(s)
-        cand_ids = [np.delete(all_ids, src) for src in range(s)]
-        cand_dist = [np.delete(dist[src], src) for src in range(s)]
+        dist = np.sqrt(((sw_pos[:, None, :] - sw_pos[None, :, :]) ** 2).sum(axis=2))
+        # row src weighs the other switches in id order: candidate idx is switch idx + (idx >= src)
+        cdf = list(_cumulative_weights(dist[~np.eye(s, dtype=bool)].reshape(s, s - 1), alpha))
 
         attempts = round(config.k_s * s) if config.raw_attempt_count else round(config.k_s * s / 2)
         degree = [0] * s
+        linked: set[tuple[int, int]] = set()
         for _ in range(attempts):
             src = int(rng.integers(s))
             dst = -1
             for _ in range(DUPLICATE_RESAMPLE_LIMIT):
-                pick = _weighted_pick(cand_ids[src], cand_dist[src], alpha, rng)
-                if not _has(links, src, pick):
+                pick = _draw(cdf[src], rng)
+                pick += pick >= src
+                if (src, pick) not in linked:
                     dst = pick
                     break
             if dst < 0:
                 continue  # every re-draw hit an existing link; attempt lost
             if realistic and (degree[src] >= k_max or degree[dst] >= k_max):
                 continue  # cap reached on either endpoint; attempt lost
-            key = (src, dst) if src < dst else (dst, src)
-            links[key] = float(dist[src, dst])
+            linked.update(((src, dst), (dst, src)))
+            src_ids.append(src)
+            dst_ids.append(dst)
+            lengths.append(dist.item(src, dst))
             degree[src] += 1
             degree[dst] += 1
 
@@ -585,7 +617,11 @@ def build_random_multitude(config: TopologyConfig) -> Topology:
         s,
         n,
         positions,
-        links,
+        (
+            np.concatenate([nearest, np.array(src_ids, dtype=np.int64)]),
+            np.concatenate([s + np.arange(n), np.array(dst_ids, dtype=np.int64)]),
+            np.concatenate([np.sqrt(d2[np.arange(n), nearest]), lengths]),
+        ),
         alpha=alpha,
         k_s=config.k_s,
         k_max=k_max,
@@ -593,10 +629,6 @@ def build_random_multitude(config: TopologyConfig) -> Topology:
     topo = ensure_connected(topo, rng)
     topo.validate()
     return topo
-
-
-def _has(links: dict, a: int, b: int) -> bool:
-    return ((a, b) if a < b else (b, a)) in links
 
 
 def ensure_connected(topology: Topology, rng: np.random.Generator) -> Topology:
@@ -619,12 +651,12 @@ def ensure_connected(topology: Topology, rng: np.random.Generator) -> Topology:
     alpha = topology.alpha if topology.alpha is not None else FAMILY_ALPHA[topology.family]
     k_max = topology.k_max
     positions = topology.positions[: topology.n_switch]
-    links = topology.link_dict()
     degree = [topology.switch_degree(s_id) for s_id in range(topology.n_switch)]
+    bridges: list[tuple[int, int, float]] = []
 
     components: dict[int, list[int]] = {}
-    for node, comp in enumerate(label):
-        components.setdefault(int(comp), []).append(node)
+    for node, comp in enumerate(label.tolist()):
+        components.setdefault(comp, []).append(node)
     groups = sorted(components.values(), key=lambda grp: (len(grp), grp[0]))
 
     failures = 0
@@ -640,12 +672,11 @@ def ensure_connected(topology: Topology, rng: np.random.Generator) -> Topology:
                 )
             src = smallest[int(rng.integers(len(smallest)))]
             dists = np.sqrt(((positions[rest] - positions[src]) ** 2).sum(axis=1))
-            dst = _weighted_pick(np.asarray(rest), dists, alpha, rng)
+            dst = rest[_draw(_cumulative_weights(dists, alpha), rng)]
             if k_max is not None and (degree[src] >= k_max or degree[dst] >= k_max):
                 failures += 1
                 continue
-            key = (src, dst) if src < dst else (dst, src)
-            links[key] = float(math.dist(positions[src], positions[dst]))
+            bridges.append((src, dst, math.dist(positions[src], positions[dst])))
             degree[src] += 1
             degree[dst] += 1
             placed = True
@@ -654,7 +685,11 @@ def ensure_connected(topology: Topology, rng: np.random.Generator) -> Topology:
             [grp for grp in groups[1:] if dst not in grp] + [merged],
             key=lambda grp: (len(grp), grp[0]),
         )
-    return topology.with_links(links)
+    lo, hi, length = topology.link_arrays()
+    src_ids, dst_ids, lengths = zip(*bridges)
+    return topology.with_links(
+        (np.concatenate([lo, src_ids]), np.concatenate([hi, dst_ids]), np.concatenate([length, lengths]))
+    )
 
 
 def remove_random_links(topology: Topology, count: int, rng: np.random.Generator) -> Topology:
@@ -664,17 +699,17 @@ def remove_random_links(topology: Topology, count: int, rng: np.random.Generator
     repaired: the simulator must tolerate undeliverable messages after
     faults.
     """
-    switch_links = topology.switch_link_pairs()
+    lo, hi, length = topology.link_arrays()
+    switch_links = np.flatnonzero(hi < topology.n_switch)
     if count < 0 or count > len(switch_links):
         raise ConfigError(
             f"cannot remove {count} of {len(switch_links)} switch links"
         )
     if count == 0:
         return topology
-    doomed_idx = rng.choice(len(switch_links), size=count, replace=False)
-    doomed = {switch_links[int(i)] for i in doomed_idx}
-    links = {key: ln for key, ln in topology.link_items() if key not in doomed}
-    return topology.with_links(links)
+    keep = np.ones(len(lo), dtype=bool)
+    keep[switch_links[rng.choice(len(switch_links), size=count, replace=False)]] = False
+    return topology.with_links((lo[keep], hi[keep], length[keep]))
 
 
 # -- serialization -------------------------------------------------------------

@@ -26,7 +26,7 @@ from multitude_sim import (
     remove_random_links,
     sample_neighbor,
 )
-from oracles import switch_component_count
+from oracles import ReferenceTopology, switch_component_count
 
 
 def rng(seed):
@@ -305,20 +305,23 @@ def test_export_2dca9_row_counts():
     assert sum(1 for ln in lines if ln.startswith("L ")) == 21
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    deletions=st.integers(min_value=0, max_value=60),
 )
-def test_export_import_round_trip(family, seed):
+def test_export_import_round_trip(family, seed, deletions):
     size = 16 if family == "2DCA" else 27 if family == "3DCA" else 20
     topo = build(TopologyConfig(family, size, size, seed=seed))
+    topo = remove_random_links(topo, min(deletions, len(topo.switch_link_pairs())), rng(seed))
     text = export_edge_list(topo)
     again = import_edge_list(text)
     assert export_edge_list(again) == text
     assert again.family == topo.family and again.seed == topo.seed
     assert np.array_equal(again.positions, topo.positions)
     assert again.link_dict() == topo.link_dict()
+    assert [again.neighbors(i) for i in range(again.n_nodes)] == [topo.neighbors(i) for i in range(topo.n_nodes)]
 
 
 def test_import_rejects_garbage():
@@ -347,14 +350,26 @@ def test_import_rejects_processing_node_on_two_switches():
 
 
 def test_topology_rejects_self_loops_and_duplicates():
+    # the message names the first offending link in input order, as the
+    # per-link reference constructor does
     pos = np.zeros((3, 3))
     pos[1] = (0.5, 0, 0)
     pos[2] = (0.2, 0, 0)
-    with pytest.raises(ValueError):
-        Topology("3DRMStandard", 0, 2, 1, pos, {(0, 0): 1.0})
-    # duplicate under reversed key ordering collapses to the same set entry
-    with pytest.raises(ValueError):
-        Topology("3DRMStandard", 0, 2, 1, pos, {(0, 1): 0.5, (1, 0): 0.5})  # type: ignore[dict-item]
+    cases = [
+        ({(0, 0): 1.0}, "self-loop on node 0"),
+        ({(0, 1): 0.5, (2, 2): 1.0, (0, 5): 1.0}, "self-loop on node 2"),
+        ({(0, 2): 0.2, (3, 1): 1.0, (1, 1): 1.0}, "link (3, 1) references an unknown node"),
+        ({(-1, 0): 1.0}, "link (-1, 0) references an unknown node"),
+        ({(0, 1): 0.5, (1, 0): 0.5}, "duplicate link (0, 1)"),  # reversed key, same link
+        ({(0, 2): 0.2, (2, 1): 0.3, (1, 2): 0.3, (0, 0): 1.0}, "duplicate link (1, 2)"),
+    ]
+    for links, message in cases:
+        for cls in (Topology, ReferenceTopology):
+            with pytest.raises(InvariantError) as err:
+                cls("3DRMStandard", 0, 2, 1, pos, links)
+            assert str(err.value) == message
+    with pytest.raises(InvariantError, match=r"^duplicate link \(0, 1\)$"):
+        Topology("3DRMStandard", 0, 2, 1, pos, ([0, 0, 1], [1, 2, 0], [0.5, 0.2, 0.5]))
 
 
 def _pn_on_two_switches():
