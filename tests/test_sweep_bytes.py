@@ -5,7 +5,7 @@ companion script and of ``experiment`` runs through the CLI, on the cases the
 benchmark's golden digests leave out: custom ``sweep_values`` for every
 experiment, a robustness ``skipped`` row after a point that ran, alpha
 reference rows under ``k_s``/``k_max`` overrides, a ``switch-sweep`` restricted
-to the lattice families, and the ``out_path`` file.  A refactor of the
+to the lattice families or to no allowed family, and the ``out_path`` file.  A refactor of the
 harness or the CLI must leave every digest unchanged.
 """
 
@@ -42,6 +42,9 @@ CASES = {
         "switch-sweep", sweep_values=(16, 40.0), seeds_per_point=1, master_seed=4, k_s=5.0,
         k_max=7,
     ),
+    "switch-no-family-allowed": ExperimentSpec(
+        "switch-sweep", families=("3DRMGlobal",), seeds_per_point=1,
+    ),
     "switch-ca-only": ExperimentSpec(
         "switch-sweep", families=("3DCA", "2DCA"), sweep_values=(16,), seeds_per_point=3,
         master_seed=6,
@@ -73,6 +76,7 @@ DIGESTS = {
     "scaling-custom": "aa905faa0ff5983217707e1f880c1fa648a4df2821ff153ade2937c33036457c",
     "scaling-default-grid": "59d5981666738697c68253fb4a00861556bc029b3929984c31487455efd12227",
     "switch-ca-only": "01dee124bf3b02d186827383d588405c8f4676892b89d84628d396c8956466ff",
+    "switch-no-family-allowed": "4324b67dbccd3fa304e9b2f7f27e78a430a3026e64bd4496a8b2da8b4f5b779a",
     "switch-custom": "3d5d9cb235bfd2dae359606238ce1a97f5ba3de138fb77414eeb5c66502aec65",
     "sync-ignores-sweep-values": "768d322294f2d871dc10c09c20a46bef88a4e2668a265427227a49a8e971e2d1",
 }
