@@ -31,6 +31,41 @@ _ROUTING_NAMES = {
 }
 
 
+# flag -> (type, help); the type also reads the flag's value from a config file
+_FLAGS = {
+    "family": (str, "topology family (or comma list for experiments)"),
+    "n": (int, "processing node count"),
+    "s": (int, "switch node count"),
+    "alpha": (float, "shortcut-length exponent"),
+    "ks": (float, "target average switch connectivity"),
+    "kmax": (int, "switch degree cap (3DRMRealistic)"),
+    "seed": (int, "64-bit seed"),
+    "raw-attempt-count": (bool, "attempt ks*S switch links instead of ks*S/2"),
+    "config": (str, "flat key = value config file; flags override it"),
+    "out": (str, "output path (default: stdout)"),
+    "topology": (str, "read a topology edge-list file instead of generating"),
+    "pi": (float, "per-node injection probability"),
+    "channels": (int, "per-switch per-step forwarding budget"),
+    "buffer": (int, "switch buffer capacity"),
+    "steps": (int, "simulated step count"),
+    "routing": (str, "shortest-path | random-wandering"),
+    "ttl": (int, "max hops before a message is dropped"),
+    "seeds-per-point": (int, "replicates per sweep point"),
+    "deletions": (str, "comma list of link-deletion counts (robustness)"),
+    "gnuplot": (bool, "also write a companion .gp plotting script next to --out"),
+}
+_COMMON = ("family", "n", "s", "alpha", "ks", "kmax", "seed", "raw-attempt-count", "config", "out")
+_SIM = ("pi", "channels", "buffer", "steps", "routing", "ttl")
+
+# flag -> the config field it sets; a flag left unset keeps the field's default
+_TOPOLOGY_FIELDS = {"n": "n_processing", "s": "n_switch", "alpha": "alpha", "ks": "k_s", "kmax": "k_max",
+                    "seed": "seed", "raw-attempt-count": "raw_attempt_count"}
+_SIM_FIELDS = {"pi": "injection_rate", "channels": "channels", "buffer": "buffer_capacity", "steps": "horizon",
+               "ttl": "ttl", "seed": "seed"}
+_SPEC_FIELDS = {"seeds-per-point": "seeds_per_point", "seed": "master_seed", "out": "out_path", "ks": "k_s",
+                "kmax": "k_max", "steps": "horizon"}
+
+
 class _Parser(argparse.ArgumentParser):
     # route argparse's own failures through the config-error exit code
     def error(self, message):
@@ -40,53 +75,16 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="multitude-sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, topology_input=False):
-        p.add_argument("--family", help="topology family (or comma list for experiments)")
-        p.add_argument("--n", type=int, help="processing node count")
-        p.add_argument("--s", type=int, help="switch node count")
-        p.add_argument("--alpha", type=float, help="shortcut-length exponent")
-        p.add_argument("--ks", type=float, help="target average switch connectivity")
-        p.add_argument("--kmax", type=int, help="switch degree cap (3DRMRealistic)")
-        p.add_argument("--seed", type=int, help="64-bit seed")
-        p.add_argument("--raw-attempt-count", action="store_true", default=None,
-                       help="attempt ks*S switch links instead of ks*S/2")
-        p.add_argument("--config", help="flat key = value config file; flags override it")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if topology_input:
-            p.add_argument("--topology", help="read a topology edge-list file instead of generating")
-
-    def add_sim_flags(p):
-        p.add_argument("--pi", type=float, help="per-node injection probability")
-        p.add_argument("--channels", type=int, help="per-switch per-step forwarding budget")
-        p.add_argument("--buffer", type=int, help="switch buffer capacity")
-        p.add_argument("--steps", type=int, help="simulated step count")
-        p.add_argument("--routing", help="shortest-path | random-wandering")
-        p.add_argument("--ttl", type=int, help="max hops before a message is dropped")
-
-    p_gen = sub.add_parser("generate", help="build a topology and write its edge list")
-    add_common(p_gen)
-
-    p_met = sub.add_parser("metrics", help="static metrics for a topology")
-    add_common(p_met, topology_input=True)
-
-    p_sim = sub.add_parser("simulate", help="run traffic and report delivery statistics")
-    add_common(p_sim, topology_input=True)
-    add_sim_flags(p_sim)
-
-    p_sync = sub.add_parser("sync", help="run the frequency-averaging task")
-    add_common(p_sync, topology_input=True)
-    add_sim_flags(p_sync)
-
-    p_exp = sub.add_parser("experiment", help="run a sweep experiment to CSV")
-    p_exp.add_argument("id", choices=harness.EXPERIMENTS)
-    add_common(p_exp)
-    add_sim_flags(p_exp)
-    p_exp.add_argument("--seeds-per-point", type=int, help="replicates per sweep point")
-    p_exp.add_argument("--deletions", help="comma list of link-deletion counts (robustness)")
-    p_exp.add_argument("--gnuplot", action="store_true", default=None,
-                       help="also write a companion .gp plotting script next to --out")
-
+    for command, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "experiment":
+            p.add_argument("id", choices=harness.EXPERIMENTS)
+        for flag in flags:
+            cast, flag_help = _FLAGS[flag]
+            if cast is bool:
+                p.add_argument(f"--{flag}", action="store_true", default=None, help=flag_help)
+            else:
+                p.add_argument(f"--{flag}", type=cast, help=flag_help)
     return parser
 
 
@@ -99,13 +97,13 @@ class _Options:
         if self._args.get("config"):
             self._file = harness.load_config_file(self._args["config"])
 
-    def get(self, flag: str, cast, default=None):
-        arg_key = flag.replace("-", "_")
-        value = self._args.get(arg_key)
+    def get(self, flag: str, default=None):
+        value = self._args.get(flag.replace("-", "_"))
         if value is not None:
             return value
         if flag in self._file:
             raw = self._file[flag]
+            cast = _FLAGS[flag][0]
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
             try:
@@ -114,53 +112,39 @@ class _Options:
                 raise ConfigError(f"config value {flag} = {raw!r} is not a valid {cast.__name__}") from None
         return default
 
+    def given(self, fields: dict[str, str]) -> dict:
+        """Keyword arguments for a config class, from the flags that are set."""
+        values = {name: self.get(flag) for flag, name in fields.items()}
+        return {name: value for name, value in values.items() if value is not None}
+
 
 def _topology_config(opt: _Options) -> TopologyConfig:
-    family = opt.get("family", str)
+    family = opt.get("family")
     if not family:
         raise ConfigError("--family is required (or provide it in the config file)")
-    return TopologyConfig(
-        family,
-        n_processing=opt.get("n", int, 64),
-        n_switch=opt.get("s", int, 64),
-        alpha=opt.get("alpha", float),
-        k_s=opt.get("ks", float, 6.0),
-        k_max=opt.get("kmax", int, 10),
-        seed=opt.get("seed", int, 0),
-        raw_attempt_count=bool(opt.get("raw-attempt-count", bool, False)),
-    )
+    return TopologyConfig(family, **opt.given(_TOPOLOGY_FIELDS))
 
 
 def _load_or_build(opt: _Options):
-    path = opt.get("topology", str)
+    path = opt.get("topology")
     if path:
         with open(path, encoding="utf-8") as fh:
             return import_edge_list(fh.read())
     return build(_topology_config(opt))
 
 
-def _sim_config(opt: _Options, default_routing=Routing.SHORTEST_PATH) -> SimConfig:
-    routing_name = opt.get("routing", str)
+def _sim_config(opt: _Options) -> SimConfig:
+    routing_name = opt.get("routing")
     if routing_name is None:
-        routing = default_routing
-    else:
-        key = routing_name.strip().lower()
-        if key not in _ROUTING_NAMES:
-            raise ConfigError(f"unknown routing {routing_name!r}; use shortest-path or random-wandering")
-        routing = _ROUTING_NAMES[key]
-    return SimConfig(
-        injection_rate=opt.get("pi", float, 0.1),
-        channels=opt.get("channels", int, 6),
-        buffer_capacity=opt.get("buffer", int, 100),
-        horizon=opt.get("steps", int, 500),
-        routing=routing,
-        ttl=opt.get("ttl", int),
-        seed=opt.get("seed", int, 0),
-    )
+        return SimConfig(**opt.given(_SIM_FIELDS))
+    key = routing_name.strip().lower()
+    if key not in _ROUTING_NAMES:
+        raise ConfigError(f"unknown routing {routing_name!r}; use shortest-path or random-wandering")
+    return SimConfig(routing=_ROUTING_NAMES[key], **opt.given(_SIM_FIELDS))
 
 
 def _write(opt: _Options, text: str) -> None:
-    out = opt.get("out", str)
+    out = opt.get("out")
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -188,72 +172,49 @@ def _cmd_simulate(opt: _Options) -> None:
 
 def _cmd_sync(opt: _Options) -> None:
     topo = _load_or_build(opt)
-    cfg = replace(_sim_config(opt, default_routing=Routing.RANDOM_WANDERING),
-                  routing=Routing.RANDOM_WANDERING)
-    horizon = opt.get("steps", int, harness.SYNC_HORIZON)
+    cfg = replace(_sim_config(opt), routing=Routing.RANDOM_WANDERING)
+    horizon = opt.get("steps", harness.SYNC_HORIZON)
     trace = synctask.run_sync_task(topo, cfg, horizon)
     _write(opt, synctask.SYNC_CSV_HEADER + "\n" + "\n".join(synctask.trace_csv_rows(trace)) + "\n")
 
 
-def _cmd_experiment(opt: _Options, experiment_id: str) -> None:
-    families_raw = opt.get("family", str)
-    families = (
-        tuple(f.strip() for f in families_raw.split(",") if f.strip())
-        if families_raw
-        else harness.FAMILIES
-    )
+def _cmd_experiment(opt: _Options) -> None:
+    families = opt.get("family")
+    families = tuple(f.strip() for f in families.split(",") if f.strip()) if families else harness.FAMILIES
+    experiment_id, deletions = opt.get("id"), opt.get("deletions")
     sweep = None
-    if experiment_id == "robustness":
-        deletions = opt.get("deletions", str)
-        if deletions:
-            try:
-                sweep = tuple(int(d) for d in str(deletions).split(",") if str(d).strip())
-            except ValueError:
-                raise ConfigError(f"--deletions needs a comma list of integers, got {deletions!r}") from None
-    spec = harness.ExperimentSpec(
-        experiment=experiment_id,
-        families=families,
-        sweep_values=sweep,
-        seeds_per_point=opt.get("seeds-per-point", int, 10),
-        master_seed=opt.get("seed", int, 0),
-        out_path=opt.get("out", str),
-        k_s=opt.get("ks", float, 6.0),
-        k_max=opt.get("kmax", int, 10),
-        horizon=opt.get("steps", int),
-        sim=SimConfig(
-            injection_rate=opt.get("pi", float, 0.1),
-            channels=opt.get("channels", int, 6),
-            buffer_capacity=opt.get("buffer", int, 100),
-            ttl=opt.get("ttl", int),
-        ),
-    )
+    if experiment_id == "robustness" and deletions:
+        try:
+            sweep = tuple(int(d) for d in deletions.split(",") if d.strip())
+        except ValueError:
+            raise ConfigError(f"--deletions needs a comma list of integers, got {deletions!r}") from None
+    spec = harness.ExperimentSpec(experiment_id, families, sweep, sim=_sim_config(opt), **opt.given(_SPEC_FIELDS))
     text = harness.run_experiment(spec)
     if not spec.out_path:
         sys.stdout.write(text)
-    if opt.get("gnuplot", bool, False):
+    if opt.get("gnuplot", False):
         if not spec.out_path:
             raise ConfigError("--gnuplot requires --out")
         script = str(Path(spec.out_path).with_suffix(".gp"))
         harness.write_gnuplot_script(spec, spec.out_path, script)
 
 
+# command -> (handler, help, flags)
+_COMMANDS = {
+    "generate": (_cmd_generate, "build a topology and write its edge list", _COMMON),
+    "metrics": (_cmd_metrics, "static metrics for a topology", (*_COMMON, "topology")),
+    "simulate": (_cmd_simulate, "run traffic and report delivery statistics", (*_COMMON, "topology", *_SIM)),
+    "sync": (_cmd_sync, "run the frequency-averaging task", (*_COMMON, "topology", *_SIM)),
+    "experiment": (_cmd_experiment, "run a sweep experiment to CSV",
+                   (*_COMMON, *_SIM, "seeds-per-point", "deletions", "gnuplot")),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        opt = _Options(args)
-        if args.command == "generate":
-            _cmd_generate(opt)
-        elif args.command == "metrics":
-            _cmd_metrics(opt)
-        elif args.command == "simulate":
-            _cmd_simulate(opt)
-        elif args.command == "sync":
-            _cmd_sync(opt)
-        elif args.command == "experiment":
-            _cmd_experiment(opt, args.id)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        _COMMANDS[args.command][0](_Options(args))
     except (ConfigError, InvariantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,13 +9,23 @@ Five experiments are available (ids in EXPERIMENTS):
 * ``robustness``   -- hops under random wandering vs deleted switch links;
 * ``sync``         -- frequency-averaging convergence traces per family.
 
+The four sweeps are entries of one table, SWEEPS: a CSV header and a list of
+Blocks.  A Block gives its seed key, its allowed families, its default grid,
+its value type, the cells that lead its rows, and a point function
+``(spec, family, value, seeds)`` returning measured cells per replicate seed.
+One driver runs every block, family by family in sorted order and value by
+value in grid order: a row per replicate, then a ``mean`` row whose count
+columns read 0, whose blank columns stay blank and whose other columns are
+replicate means.  A point that returns fewer rows than seeds (robustness with
+more deletions than links) ends in a ``skipped`` row with its floats blank.
+``sync`` writes traces and no means through its own short loop.  To add an
+experiment, write its point function and give it one SWEEPS entry.
+
 Every emitted CSV is byte-identical across reruns of the same spec.  Seeds
 for a sweep point derive from
 ``sha256("multitude|<master>|<experiment>|<family>|<sweep-value>|<replicate>")``
 (see derive_seed), so adding sweep points or families never perturbs the rows
-of existing ones.  Rows are written family-by-family in sorted order, sweep
-values ascending, replicates ascending, with a ``mean`` row after each
-point's replicates.
+of existing ones.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +43,9 @@ from .simcore import Routing, SimConfig, run, run_many  # noqa: F401
 from .topology import (
     CA_FAMILIES,
     FAMILIES,
+    FAMILY_ALPHA,
     RM_FAMILIES,
     ConfigError,
-    Topology,
     TopologyConfig,
     build,
     remove_random_links,
@@ -43,23 +54,18 @@ from .topology import (
 __all__ = [
     "EXPERIMENTS",
     "ExperimentSpec",
+    "SWEEPS",
     "derive_seed",
     "derive_subseed",
-    "run_scaling",
-    "run_alpha_sweep",
-    "run_switch_sweep",
-    "run_robustness",
-    "run_sync_experiment",
     "run_experiment",
     "load_config_file",
 ]
-
-EXPERIMENTS = ("scaling", "alpha-sweep", "switch-sweep", "robustness", "sync")
 
 # default sweep grids; each brackets every headline operating point
 RM_SIZE_GRID = (9, 14, 19, 24, 29, 34, 39, 44, 49, 54, 59, 64)
 CA2_SIZE_GRID = (9, 16, 25, 36, 49, 64, 81, 100, 121)
 CA3_SIZE_GRID = (8, 27, 64, 125)
+SIZE_GRIDS = {**dict.fromkeys(RM_FAMILIES, RM_SIZE_GRID), "2DCA": CA2_SIZE_GRID, "3DCA": CA3_SIZE_GRID}
 ALPHA_GRID = (0.0, 0.5, 1.0, 1.5, 1.8, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0)
 S_GRID = (16, 32, 48, 64, 96, 128)
 KS_GRID = (3, 4, 5, 6, 8, 10, 12)
@@ -74,6 +80,9 @@ SYNC_HORIZON = 4000
 ALPHA_SWEEP_FAMILIES = ("3DRMStandard", "3DRMRealistic")
 ALPHA_REFERENCE_FAMILIES = ("2DCA", "3DCA", "3DRMLocal")
 SWITCH_SWEEP_FAMILIES = ("3DRMStandard", "3DRMRealistic")
+
+# a mean or skipped row writes 0 in these columns
+COUNT_COLUMNS = frozenset(("unreachable", "injected", "delivered", "dropped_ttl", "dropped_buffer"))
 
 
 def derive_seed(master_seed: int, experiment: str, family: str, sweep_value, replicate: int) -> int:
@@ -125,20 +134,128 @@ class ExperimentSpec:
             raise ConfigError("sweep_values must be nonempty when given")
 
 
-def _selected(spec: ExperimentSpec, allowed: tuple[str, ...]) -> list[str]:
-    return sorted(f for f in spec.families if f in allowed)
+@dataclass(frozen=True)
+class Block:
+    """A run of sweep points: each allowed family at each grid value."""
+
+    key: str  # the experiment name in derive_seed's key
+    families: tuple[str, ...]
+    grid: tuple | dict[str, tuple]  # default values, or each family's own
+    cast: Callable  # type of the sweep value, in the seed key and the row
+    point: Callable  # (spec, family, value, replicate seeds) -> measured cells per replicate
+    lead: tuple = ()  # cells before the family column
+    swept: bool = True  # spec.sweep_values replaces the default grid
+    shown: Callable[[str], object] | None = None  # value column per family, if not the value
 
 
-def _topology_config(spec: ExperimentSpec, family: str, n: int, s: int, seed: int, alpha=None) -> TopologyConfig:
-    return TopologyConfig(
-        family,
-        n_processing=n,
-        n_switch=s,
-        alpha=alpha,
-        k_s=spec.k_s,
-        k_max=spec.k_max,
-        seed=seed,
-    )
+def _points(spec: ExperimentSpec, block: Block):
+    """(family, value, replicate seeds) for each point of a block, in row order."""
+    for family in sorted(f for f in spec.families if f in block.families):
+        grid = block.grid[family] if isinstance(block.grid, dict) else block.grid
+        if block.swept and spec.sweep_values is not None:
+            grid = spec.sweep_values
+        for raw in grid:
+            value = block.cast(raw)
+            seeds = [derive_seed(spec.master_seed, block.key, family, value, rep)
+                     for rep in range(spec.seeds_per_point)]
+            yield family, value, seeds
+
+
+def _built(spec: ExperimentSpec, family: str, seeds, n=64, s=64, alpha=None, k_s=None):
+    """One topology per replicate seed, each built only when the previous one is done."""
+    k_s = spec.k_s if k_s is None else k_s
+    for seed in seeds:
+        yield build(TopologyConfig(family, n, s, alpha=alpha, k_s=k_s, k_max=spec.k_max, seed=seed))
+
+
+def _hops(topo) -> float:
+    return metrics.average_hops(topo)[0]
+
+
+def _scaling_point(spec, family, size, seeds):
+    return [list(metrics.average_hops(t)) for t in _built(spec, family, seeds, size, size)]
+
+
+def _alpha_point(spec, family, alpha, seeds):
+    return [[_hops(t), metrics.clustering_coefficient(t)] for t in _built(spec, family, seeds, alpha=alpha)]
+
+
+def _alpha_reference_point(spec, family, _value, seeds):
+    return [[_hops(t), metrics.clustering_coefficient(t)] for t in _built(spec, family, seeds)]
+
+
+def _switch_count_point(spec, family, s_count, seeds):
+    return [[_hops(t), None] for t in _built(spec, family, seeds, s=s_count, alpha=1.8)]
+
+
+def _connectivity_point(spec, family, k_s, seeds):
+    return [[None, metrics.average_path_length(t)] for t in _built(spec, family, seeds, alpha=1.8, k_s=k_s)]
+
+
+def _lattice_reference_point(spec, family, size, seeds):
+    return [[_hops(t), metrics.average_path_length(t)] for t in _built(spec, family, seeds, size, size)]
+
+
+def _robustness_point(spec, family, deletions, seeds):
+    """Build every replicate, then simulate them as lanes of one run.
+
+    The point stops at the first replicate with fewer switch links than
+    ``deletions``; the replicates built before it still run.
+    """
+    horizon = spec.horizon if spec.horizon is not None else ROBUSTNESS_HORIZON
+    jobs = []
+    for seed, topo in zip(seeds, _built(spec, family, seeds)):
+        if deletions > len(topo.switch_link_pairs()):
+            break
+        if deletions:
+            fault_rng = np.random.default_rng(derive_subseed(seed, "faults"))
+            topo = remove_random_links(topo, deletions, fault_rng)
+        traffic = derive_subseed(seed, "traffic")
+        jobs.append((topo, replace(spec.sim, routing=Routing.RANDOM_WANDERING, horizon=horizon, seed=traffic)))
+    return [
+        [st.injected, st.delivered, st.dropped_ttl, st.dropped_buffer, st.unreachable_dropped,
+         st.avg_hops_delivered, st.delivered / st.injected if st.injected else 0.0]
+        for st in run_many(jobs)
+    ]
+
+
+def _sync_point(spec, family, _value, seeds):
+    """One trace's CSV rows per replicate."""
+    horizon = spec.horizon if spec.horizon is not None else SYNC_HORIZON
+    traces = []
+    for seed, topo in zip(seeds, _built(spec, family, seeds)):
+        cfg = replace(spec.sim, routing=Routing.RANDOM_WANDERING, seed=derive_subseed(seed, "gossip"))
+        traces.append(synctask.trace_csv_rows(synctask.run_sync_task(topo, cfg, horizon)))
+    return traces
+
+
+SWEEPS = {
+    "scaling": ("family,size,seed,avg_hops,unreachable", (
+        Block("scaling", FAMILIES, SIZE_GRIDS, int, _scaling_point),
+    )),
+    # N = S = 64 throughout; the references use each family's own exponent
+    "alpha-sweep": ("family,alpha,seed,avg_hops,clustering", (
+        Block("alpha-sweep", ALPHA_SWEEP_FAMILIES, ALPHA_GRID, float, _alpha_point),
+        Block("alpha-sweep", ALPHA_REFERENCE_FAMILIES, ("reference",), str, _alpha_reference_point,
+              swept=False, shown=FAMILY_ALPHA.get),
+    )),
+    # hops vs S at N = 64, path length vs k_s at N = S = 64, both at alpha 1.8
+    "switch-sweep": ("sweep,family,value,seed,avg_hops,avg_path_length", (
+        Block("switch-sweep-s", SWITCH_SWEEP_FAMILIES, S_GRID, int, _switch_count_point, lead=("S",)),
+        Block("switch-sweep-ks", SWITCH_SWEEP_FAMILIES, KS_GRID, float, _connectivity_point, lead=("ks",),
+              swept=False),
+        Block("switch-sweep-ref", CA_FAMILIES, (64,), int, _lattice_reference_point, lead=("ref",),
+              swept=False),
+    )),
+    "robustness": (
+        "family,deletions,seed,injected,delivered,dropped_ttl,dropped_buffer,unreachable,avg_hops,delivery_rate",
+        (Block("robustness", FAMILIES, DELETION_GRID, int, _robustness_point),),
+    ),
+}
+
+SYNC_BLOCK = Block("sync", FAMILIES, ("trace",), str, _sync_point, swept=False)
+
+EXPERIMENTS = (*SWEEPS, "sync")
 
 
 def _fmt(value) -> str:
@@ -149,250 +266,68 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(spec: ExperimentSpec, header: str, rows: list[list]) -> str:
-    text = header + "\n" + "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
+def _emit(spec: ExperimentSpec, header: str, lines: list[str]) -> str:
+    text = header + "\n" + "\n".join(lines) + "\n"
     if spec.out_path:
         Path(spec.out_path).write_text(text, encoding="utf-8", newline="\n")
     return text
 
 
-def _mean(values: list[float]) -> float:
-    return float(np.mean(values))
+def _summary(names: list[str], cells: list[list], skipped: bool) -> list:
+    """The cells of a point's mean row, or of its skipped row."""
+    return [
+        0 if name in COUNT_COLUMNS
+        else None if skipped or cells[0][i] is None
+        else float(np.mean([c[i] for c in cells]))
+        for i, name in enumerate(names)
+    ]
 
 
-# -- experiment 1: scaling ------------------------------------------------------
-
-
-def run_scaling(spec: ExperimentSpec) -> str:
-    """Average hops vs system size N = S; one row per (family, size, seed) plus means."""
-    spec.validate()
-    default_grid = {f: RM_SIZE_GRID for f in RM_FAMILIES}
-    default_grid["2DCA"] = CA2_SIZE_GRID
-    default_grid["3DCA"] = CA3_SIZE_GRID
+def _run_sweep(spec: ExperimentSpec, header: str, blocks: tuple[Block, ...]) -> str:
+    names = header.split(",")
+    measured = names[names.index("seed") + 1 :]
     rows: list[list] = []
-    for family in sorted(spec.families):
-        sizes = spec.sweep_values if spec.sweep_values is not None else default_grid[family]
-        for size in sizes:
-            size = int(size)
-            hops_here: list[float] = []
-            for rep in range(spec.seeds_per_point):
-                seed = derive_seed(spec.master_seed, "scaling", family, size, rep)
-                topo = build(_topology_config(spec, family, size, size, seed))
-                hops, unreachable = metrics.average_hops(topo)
-                hops_here.append(hops)
-                rows.append([family, size, seed, hops, unreachable])
-            rows.append([family, size, "mean", _mean(hops_here), 0])
-    return _emit(spec, "family,size,seed,avg_hops,unreachable", rows)
+    for block in blocks:
+        for family, value, seeds in _points(spec, block):
+            cells = block.point(spec, family, value, seeds)
+            lead = [*block.lead, family, block.shown(family) if block.shown else value]
+            rows.extend([*lead, seed, *c] for seed, c in zip(seeds, cells))
+            skipped = len(cells) < len(seeds)
+            rows.append([*lead, "skipped" if skipped else "mean", *_summary(measured, cells, skipped)])
+    return _emit(spec, header, [",".join(_fmt(v) for v in row) for row in rows])
 
 
-# -- experiment 2: shortcut-exponent sweep ---------------------------------------
-
-
-def run_alpha_sweep(spec: ExperimentSpec) -> str:
-    """Hops and clustering vs the exponent at N=S=64, plus fixed reference rows."""
-    spec.validate()
-    grid = spec.sweep_values if spec.sweep_values is not None else ALPHA_GRID
-    rows: list[list] = []
-    for family in _selected(spec, ALPHA_SWEEP_FAMILIES):
-        for alpha in grid:
-            alpha = float(alpha)
-            hops_here: list[float] = []
-            clus_here: list[float] = []
-            for rep in range(spec.seeds_per_point):
-                seed = derive_seed(spec.master_seed, "alpha-sweep", family, alpha, rep)
-                topo = build(_topology_config(spec, family, 64, 64, seed, alpha=alpha))
-                hops, _ = metrics.average_hops(topo)
-                clus = metrics.clustering_coefficient(topo)
-                hops_here.append(hops)
-                clus_here.append(clus)
-                rows.append([family, alpha, seed, hops, clus])
-            rows.append([family, alpha, "mean", _mean(hops_here), _mean(clus_here)])
-    for family in _selected(spec, ALPHA_REFERENCE_FAMILIES):
-        ref_alpha = 3.0 if family == "3DRMLocal" else None
-        hops_here = []
-        clus_here = []
-        for rep in range(spec.seeds_per_point):
-            seed = derive_seed(spec.master_seed, "alpha-sweep", family, "reference", rep)
-            topo = build(_topology_config(spec, family, 64, 64, seed))
-            hops, _ = metrics.average_hops(topo)
-            clus = metrics.clustering_coefficient(topo)
-            hops_here.append(hops)
-            clus_here.append(clus)
-            rows.append([family, ref_alpha, seed, hops, clus])
-        rows.append([family, ref_alpha, "mean", _mean(hops_here), _mean(clus_here)])
-    return _emit(spec, "family,alpha,seed,avg_hops,clustering", rows)
-
-
-# -- experiment 3: switch count and connectivity ---------------------------------
-
-
-def run_switch_sweep(spec: ExperimentSpec) -> str:
-    """Hops vs S at N=64 (alpha 1.8), and path length vs k_s at N=S=64."""
-    spec.validate()
-    s_grid = spec.sweep_values if spec.sweep_values is not None else S_GRID
-    rows: list[list] = []
-    for family in _selected(spec, SWITCH_SWEEP_FAMILIES):
-        for s_count in s_grid:
-            s_count = int(s_count)
-            hops_here: list[float] = []
-            for rep in range(spec.seeds_per_point):
-                seed = derive_seed(spec.master_seed, "switch-sweep-s", family, s_count, rep)
-                topo = build(_topology_config(spec, family, 64, s_count, seed, alpha=1.8))
-                hops, _ = metrics.average_hops(topo)
-                hops_here.append(hops)
-                rows.append(["S", family, s_count, seed, hops, None])
-            rows.append(["S", family, s_count, "mean", _mean(hops_here), None])
-    for family in _selected(spec, SWITCH_SWEEP_FAMILIES):
-        for k_s in KS_GRID:
-            k_s = float(k_s)
-            plens: list[float] = []
-            for rep in range(spec.seeds_per_point):
-                seed = derive_seed(spec.master_seed, "switch-sweep-ks", family, k_s, rep)
-                cfg = TopologyConfig(
-                    family, 64, 64, alpha=1.8, k_s=k_s, k_max=spec.k_max, seed=seed
-                )
-                topo = build(cfg)
-                plen = metrics.average_path_length(topo)
-                plens.append(plen)
-                rows.append(["ks", family, k_s, seed, None, plen])
-            rows.append(["ks", family, k_s, "mean", None, _mean(plens)])
-    for family in _selected(spec, CA_FAMILIES):
-        hops_here = []
-        plens = []
-        for rep in range(spec.seeds_per_point):
-            seed = derive_seed(spec.master_seed, "switch-sweep-ref", family, 64, rep)
-            topo = build(_topology_config(spec, family, 64, 64, seed))
-            hops, _ = metrics.average_hops(topo)
-            hops_here.append(hops)
-            plens.append(metrics.average_path_length(topo))
-            rows.append(["ref", family, 64, seed, hops, plens[-1]])
-        rows.append(["ref", family, 64, "mean", _mean(hops_here), _mean(plens)])
-    return _emit(spec, "sweep,family,value,seed,avg_hops,avg_path_length", rows)
-
-
-# -- experiment 4: link-failure robustness ---------------------------------------
-
-
-def run_robustness(spec: ExperimentSpec) -> str:
-    """Random-wandering delivery stats vs number of deleted switch links."""
-    spec.validate()
-    grid = spec.sweep_values if spec.sweep_values is not None else DELETION_GRID
-    horizon = spec.horizon if spec.horizon is not None else ROBUSTNESS_HORIZON
-    rows: list[list] = []
-    for family in sorted(spec.families):
-        for deletions in grid:
-            deletions = int(deletions)
-            # build every replicate first, then simulate them as lanes of one run
-            seeds: list[int] = []
-            jobs: list[tuple[Topology, SimConfig]] = []
-            skipped = False
-            for rep in range(spec.seeds_per_point):
-                seed = derive_seed(spec.master_seed, "robustness", family, deletions, rep)
-                topo = build(_topology_config(spec, family, 64, 64, seed))
-                if deletions > len(topo.switch_link_pairs()):
-                    skipped = True
-                    break
-                if deletions:
-                    fault_rng = np.random.default_rng(derive_subseed(seed, "faults"))
-                    topo = remove_random_links(topo, deletions, fault_rng)
-                cfg = replace(
-                    spec.sim,
-                    routing=Routing.RANDOM_WANDERING,
-                    horizon=horizon,
-                    seed=derive_subseed(seed, "traffic"),
-                )
-                seeds.append(seed)
-                jobs.append((topo, cfg))
-            hops_here: list[float] = []
-            rates: list[float] = []
-            for seed, stats in zip(seeds, run_many(jobs)):
-                rate = stats.delivered / stats.injected if stats.injected else 0.0
-                hops_here.append(stats.avg_hops_delivered)
-                rates.append(rate)
-                rows.append(
-                    [
-                        family,
-                        deletions,
-                        seed,
-                        stats.injected,
-                        stats.delivered,
-                        stats.dropped_ttl,
-                        stats.dropped_buffer,
-                        stats.unreachable_dropped,
-                        stats.avg_hops_delivered,
-                        rate,
-                    ]
-                )
-            if skipped:
-                rows.append([family, deletions, "skipped", 0, 0, 0, 0, 0, None, None])
-                continue
-            rows.append(
-                [family, deletions, "mean", 0, 0, 0, 0, 0, _mean(hops_here), _mean(rates)]
-            )
-    header = (
-        "family,deletions,seed,injected,delivered,dropped_ttl,dropped_buffer,"
-        "unreachable,avg_hops,delivery_rate"
-    )
-    return _emit(spec, header, rows)
-
-
-# -- experiment 5: synchronization task -------------------------------------------
-
-
-def run_sync_experiment(spec: ExperimentSpec) -> str:
-    """Frequency-averaging traces per family and seed, with threshold summaries."""
-    spec.validate()
-    horizon = spec.horizon if spec.horizon is not None else SYNC_HORIZON
-    lines: list[str] = [synctask.SYNC_CSV_HEADER]
-    for family in sorted(spec.families):
-        for rep in range(spec.seeds_per_point):
-            seed = derive_seed(spec.master_seed, "sync", family, "trace", rep)
-            topo = build(_topology_config(spec, family, 64, 64, seed))
-            cfg = replace(
-                spec.sim,
-                routing=Routing.RANDOM_WANDERING,
-                seed=derive_subseed(seed, "gossip"),
-            )
-            trace = synctask.run_sync_task(topo, cfg, horizon)
-            lines.extend(synctask.trace_csv_rows(trace))
-    text = "\n".join(lines) + "\n"
-    if spec.out_path:
-        Path(spec.out_path).write_text(text, encoding="utf-8", newline="\n")
-    return text
-
-
-_RUNNERS = {
-    "scaling": run_scaling,
-    "alpha-sweep": run_alpha_sweep,
-    "switch-sweep": run_switch_sweep,
-    "robustness": run_robustness,
-    "sync": run_sync_experiment,
-}
+def _run_sync(spec: ExperimentSpec) -> str:
+    lines: list[str] = []
+    for family, value, seeds in _points(spec, SYNC_BLOCK):
+        for trace_rows in SYNC_BLOCK.point(spec, family, value, seeds):
+            lines.extend(trace_rows)
+    return _emit(spec, synctask.SYNC_CSV_HEADER, lines)
 
 
 def run_experiment(spec: ExperimentSpec) -> str:
+    """Run one experiment, write its CSV to ``spec.out_path`` if set, and return the text."""
     spec.validate()
-    return _RUNNERS[spec.experiment](spec)
-
-
-# per experiment: x label, y label, 1-indexed x/y columns, per-family row pattern
-_PLOT_COLUMNS = {
-    "scaling": ("size", "avg_hops", 2, 4, "^{family},.*,mean,"),
-    "alpha-sweep": ("alpha", "avg_hops", 2, 4, "^{family},.*,mean,"),
-    "switch-sweep": ("S", "avg_hops", 3, 5, "^S,{family},.*,mean,"),
-    "robustness": ("deletions", "avg_hops", 2, 9, "^{family},.*,mean,"),
-}
+    if spec.experiment == "sync":
+        return _run_sync(spec)
+    return _run_sweep(spec, *SWEEPS[spec.experiment])
 
 
 def write_gnuplot_script(spec: ExperimentSpec, csv_path: str, script_path: str) -> None:
     """Companion gnuplot script plotting the per-point mean rows of a sweep CSV.
 
-    Rendering stays out-of-band: the harness never imports a plotting
-    library.  Unsupported experiments (sync traces) get a ConfigError.
+    It draws the mean rows of the sweep's first block, value column against
+    ``avg_hops``.  Rendering stays out-of-band: the harness never imports a
+    plotting library.  Experiments without a sweep table (sync traces) get a
+    ConfigError.
     """
-    if spec.experiment not in _PLOT_COLUMNS:
+    if spec.experiment not in SWEEPS:
         raise ConfigError(f"no gnuplot template for experiment {spec.experiment!r}")
-    x_name, y_name, x_col, y_col, pattern = _PLOT_COLUMNS[spec.experiment]
+    header, blocks = SWEEPS[spec.experiment]
+    names, lead = header.split(","), blocks[0].lead
+    x_col, y_col = len(lead) + 2, names.index("avg_hops") + 1
+    x_name = lead[0] if lead else names[x_col - 1]  # a tagged block ("S") is named by its tag
+    pattern = "^" + "".join(f"{cell}," for cell in lead) + "{family},.*,mean,"
     plots = ",\\\n    ".join(
         f"\"< grep '{pattern.format(family=family)}' {csv_path}\" using {x_col}:{y_col} "
         f"with linespoints title '{family}'"
@@ -403,7 +338,7 @@ def write_gnuplot_script(spec: ExperimentSpec, csv_path: str, script_path: str) 
             f"# gnuplot companion for {csv_path}",
             "set datafile separator ','",
             f"set xlabel '{x_name}'",
-            f"set ylabel '{y_name}'",
+            "set ylabel 'avg_hops'",
             "set key left top",
             f"plot {plots}",
             "pause -1",

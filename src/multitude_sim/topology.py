@@ -739,7 +739,9 @@ def import_edge_list(text: str) -> Topology:
     The family label and seed come from the header; generation parameters
     that the format does not carry (alpha, k_s, k_max) are restored to the
     family defaults.  A malformed or non-numeric row raises ConfigError, a
-    processing node not wired to exactly one switch InvariantError.
+    processing node not wired to exactly one switch InvariantError.  A
+    repeated node id raises ConfigError, a repeated link (in either
+    direction) InvariantError.
     """
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith(EDGE_LIST_HEADER):
@@ -756,9 +758,11 @@ def import_edge_list(text: str) -> Topology:
     except ValueError as exc:
         raise ConfigError("edge-list header is missing a valid seed") from exc
 
+    node_rows = 0
     kinds: dict[int, str] = {}
     coords: dict[int, tuple[float, float, float]] = {}
-    links: dict[tuple[int, int], float] = {}
+    # every row is kept, so that the Topology constructor rejects a repeated link
+    links: tuple[list[int], list[int], list[float]] = ([], [], [])
     for line in lines[1:]:
         parts = line.split()
         try:
@@ -766,15 +770,19 @@ def import_edge_list(text: str) -> Topology:
                 node_id = int(parts[1])
                 kinds[node_id] = parts[2]
                 coords[node_id] = (float(parts[3]), float(parts[4]), float(parts[5]))
+                node_rows += 1
                 continue
             if parts[0] == "L" and len(parts) == 4:
-                links[(int(parts[1]), int(parts[2]))] = float(parts[3])
+                for column, value in zip(links, (int(parts[1]), int(parts[2]), float(parts[3]))):
+                    column.append(value)
                 continue
         except ValueError as exc:
             raise ConfigError(f"non-numeric field in edge-list row: {line!r}") from exc
         raise ConfigError(f"malformed edge-list row: {line!r}")
 
     total = len(kinds)
+    if node_rows != total:
+        raise ConfigError("edge list repeats a node id")
     if sorted(kinds) != list(range(total)):
         raise ConfigError("edge list node ids must be contiguous from 0")
     n_switch = sum(1 for kind in kinds.values() if kind == "S")

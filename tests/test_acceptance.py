@@ -21,7 +21,7 @@ from multitude_sim import (
     export_edge_list,
     sample_neighbor,
 )
-from multitude_sim.harness import ExperimentSpec, derive_seed, derive_subseed, run_robustness, run_scaling, run_switch_sweep, run_alpha_sweep
+from multitude_sim.harness import ExperimentSpec, derive_seed, derive_subseed, run_experiment
 from multitude_sim.metrics import average_hops, clustering_coefficient
 from multitude_sim.simcore import Routing, SimConfig, Simulation, run
 from multitude_sim.synctask import run_sync_task
@@ -113,7 +113,7 @@ def scaling_results():
         families=("2DCA", "3DRMStandard", "3DRMRealistic"),
         seeds_per_point=10,
     )
-    csv = run_scaling(spec)
+    csv = run_experiment(spec)
     elapsed = time.time() - t0
     means = {}
     for line in csv.splitlines()[1:]:
@@ -175,7 +175,7 @@ def test_criterion_04_alpha_ordering_and_crossover():
         families=("3DRMStandard", "3DRMRealistic", "3DCA"),
         seeds_per_point=10,
     )
-    csv = run_alpha_sweep(spec)
+    csv = run_experiment(spec)
     std_means, real_means = {}, {}
     ca3_mean = None
     for line in csv.splitlines()[1:]:
@@ -228,7 +228,7 @@ def test_criterion_06_low_clustering():
 def test_criterion_07_monotone_switch_trends():
     t0 = time.time()
     spec = ExperimentSpec("switch-sweep", families=("3DRMStandard",), seeds_per_point=10)
-    csv = run_switch_sweep(spec)
+    csv = run_experiment(spec)
     hops, plen = {}, {}
     for line in csv.splitlines()[1:]:
         sweep, family, value, seed, avg_hops, avg_plen = line.split(",")
@@ -261,7 +261,7 @@ def test_criterion_08_link_failure_robustness():
         sweep_values=(0, 40),
         seeds_per_point=10,
     )
-    csv = run_robustness(spec)
+    csv = run_experiment(spec)
     means = {}
     for line in csv.splitlines()[1:]:
         fields = line.split(",")

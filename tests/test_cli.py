@@ -94,6 +94,8 @@ def test_config_error_exit_code():
     assert main(["generate"]) == 1  # family missing
     assert main(["simulate", "--family", "2DCA", "--n", "9", "--s", "9",
                  "--routing", "teleport"]) == 1
+    assert main(["experiment", "scaling", "--family", "3DCA", "--seeds-per-point", "1",
+                 "--routing", "teleport"]) == 1
     assert main(["generate", "--family", "2DCA", "--n", "9", "--s", "9",
                  "--topology", "nope"]) == 1  # unknown flag for this command
 

@@ -11,12 +11,7 @@ from multitude_sim.harness import (
     derive_seed,
     derive_subseed,
     load_config_file,
-    run_alpha_sweep,
     run_experiment,
-    run_robustness,
-    run_scaling,
-    run_switch_sweep,
-    run_sync_experiment,
 )
 from multitude_sim.metrics import average_hops
 
@@ -43,8 +38,8 @@ def test_derive_seed_is_stable_and_point_local():
 def test_adding_sweep_points_keeps_existing_rows():
     small = ExperimentSpec("scaling", families=("2DCA",), sweep_values=(9, 16), seeds_per_point=2)
     large = ExperimentSpec("scaling", families=("2DCA",), sweep_values=(9, 16, 25), seeds_per_point=2)
-    small_rows = run_scaling(small).splitlines()
-    large_rows = run_scaling(large).splitlines()
+    small_rows = run_experiment(small).splitlines()
+    large_rows = run_experiment(large).splitlines()
     assert large_rows[: len(small_rows)] == small_rows
 
 
@@ -53,7 +48,7 @@ def test_adding_sweep_points_keeps_existing_rows():
 
 def test_scaling_smallest_3d_lattice_runs():
     spec = ExperimentSpec("scaling", families=("3DCA",), sweep_values=(8,), seeds_per_point=2)
-    header, rows = rows_of(run_scaling(spec))
+    header, rows = rows_of(run_experiment(spec))
     assert header == ["family", "size", "seed", "avg_hops", "unreachable"]
     assert len(rows) == 3 and rows[-1][2] == "mean"
     assert float(rows[-1][3]) > 1.0
@@ -62,14 +57,14 @@ def test_scaling_smallest_3d_lattice_runs():
 def test_scaling_rejects_bad_ca_size():
     spec = ExperimentSpec("scaling", families=("2DCA",), sweep_values=(10,), seeds_per_point=1)
     with pytest.raises(ConfigError):
-        run_scaling(spec)
+        run_experiment(spec)
 
 
 def test_scaling_rm_growth_is_sublinear():
     spec = ExperimentSpec(
         "scaling", families=("3DRMStandard",), sweep_values=(16, 64), seeds_per_point=5
     )
-    _, rows = rows_of(run_scaling(spec))
+    _, rows = rows_of(run_experiment(spec))
     means = {int(r[1]): float(r[3]) for r in rows if r[2] == "mean"}
     assert means[64] / means[16] < 2.0  # log growth, not the lattice's sqrt ratio
 
@@ -78,7 +73,7 @@ def test_scaling_2dca_ratio_matches_lattice_growth():
     spec = ExperimentSpec(
         "scaling", families=("2DCA",), sweep_values=(16, 64), seeds_per_point=1
     )
-    _, rows = rows_of(run_scaling(spec))
+    _, rows = rows_of(run_experiment(spec))
     means = {int(r[1]): float(r[3]) for r in rows if r[2] == "mean"}
     ratio = means[64] / means[16]
     assert abs(ratio - 2.0) / 2.0 < 0.15  # hops track the lattice side
@@ -91,7 +86,7 @@ def test_alpha_zero_row_equals_global_family_run():
     spec = ExperimentSpec(
         "alpha-sweep", families=("3DRMStandard",), sweep_values=(0.0,), seeds_per_point=1
     )
-    _, rows = rows_of(run_alpha_sweep(spec))
+    _, rows = rows_of(run_experiment(spec))
     seed = int(rows[0][2])
     reference = build(TopologyConfig("3DRMGlobal", 64, 64, seed=seed))
     assert float(rows[0][3]) == pytest.approx(average_hops(reference)[0])
@@ -104,7 +99,7 @@ def test_alpha_sweep_anchor_points_increase():
         sweep_values=(0.0, 1.8, 3.0, 5.0),
         seeds_per_point=10,
     )
-    _, rows = rows_of(run_alpha_sweep(spec))
+    _, rows = rows_of(run_experiment(spec))
     means = {float(r[1]): float(r[3]) for r in rows if r[2] == "mean"}
     assert means[0.0] < means[1.8] < means[3.0] < means[5.0]
 
@@ -113,7 +108,7 @@ def test_alpha_sweep_full_grid_trend():
     # adjacent grid points sit inside seed noise on the flat small-world
     # plateau, so the trend check allows a small slack
     spec = ExperimentSpec("alpha-sweep", families=("3DRMStandard",), seeds_per_point=10)
-    _, rows = rows_of(run_alpha_sweep(spec))
+    _, rows = rows_of(run_experiment(spec))
     means = {float(r[1]): float(r[3]) for r in rows if r[2] == "mean"}
     grid = sorted(means)
     assert grid == sorted(ALPHA_GRID)
@@ -128,7 +123,7 @@ def test_alpha_sweep_reference_rows_present():
         sweep_values=(1.8,),
         seeds_per_point=2,
     )
-    _, rows = rows_of(run_alpha_sweep(spec))
+    _, rows = rows_of(run_experiment(spec))
     families = {r[0] for r in rows}
     assert families == {"2DCA", "3DRMLocal"}
     ca_rows = [r for r in rows if r[0] == "2DCA"]
@@ -140,7 +135,7 @@ def test_alpha_sweep_reference_rows_present():
 
 def test_switch_sweep_trends():
     spec = ExperimentSpec("switch-sweep", families=("3DRMStandard",), seeds_per_point=5)
-    _, rows = rows_of(run_switch_sweep(spec))
+    _, rows = rows_of(run_experiment(spec))
     hops = {int(float(r[2])): float(r[4]) for r in rows if r[0] == "S" and r[3] == "mean"}
     plen = {float(r[2]): float(r[5]) for r in rows if r[0] == "ks" and r[3] == "mean"}
     s_grid = sorted(hops)
@@ -161,7 +156,7 @@ def test_robustness_zero_deletions_match_plain_run():
     spec = ExperimentSpec(
         "robustness", families=("3DRMStandard",), sweep_values=(0,), seeds_per_point=2
     )
-    header, rows = rows_of(run_robustness(spec))
+    header, rows = rows_of(run_experiment(spec))
     assert header[-2:] == ["avg_hops", "delivery_rate"]
     assert rows[-1][2] == "mean"
     for row in rows[:-1]:
@@ -181,7 +176,7 @@ def test_robustness_skips_oversized_deletions():
     spec = ExperimentSpec(
         "robustness", families=("2DCA",), sweep_values=(113,), seeds_per_point=1
     )
-    _, rows = rows_of(run_robustness(spec))
+    _, rows = rows_of(run_experiment(spec))
     assert rows[0][2] == "skipped"
 
 
@@ -197,14 +192,14 @@ def test_sync_traces_are_deterministic():
     spec = ExperimentSpec(
         "sync", families=("3DRMGlobal",), seeds_per_point=1, horizon=120
     )
-    assert run_sync_experiment(spec) == run_sync_experiment(spec)
+    assert run_experiment(spec) == run_experiment(spec)
 
 
 def test_sync_rows_per_family_and_seed():
     spec = ExperimentSpec(
         "sync", families=("3DRMGlobal", "2DCA"), seeds_per_point=2, horizon=50
     )
-    text = run_sync_experiment(spec)
+    text = run_experiment(spec)
     lines = text.splitlines()
     # header + 2 families * 2 seeds * (51 trace rows + summary)
     assert len(lines) == 1 + 2 * 2 * 52
@@ -215,7 +210,7 @@ def test_sync_lattice_trails_standard_at_horizon():
     spec = ExperimentSpec(
         "sync", families=("2DCA", "3DRMStandard"), seeds_per_point=3, horizon=600
     )
-    text = run_sync_experiment(spec)
+    text = run_experiment(spec)
     finals = {"2DCA": [], "3DRMStandard": []}
     for line in text.splitlines()[1:]:
         fields = line.split(",")
@@ -228,7 +223,7 @@ def test_scaling_rerun_is_byte_identical():
     spec = ExperimentSpec(
         "scaling", families=("3DRMGlobal",), sweep_values=(9, 19), seeds_per_point=3
     )
-    assert run_scaling(spec) == run_scaling(spec)
+    assert run_experiment(spec) == run_experiment(spec)
 
 
 # -- dispatch and config files ----------------------------------------------------------
@@ -252,7 +247,7 @@ def test_experiment_csv_written_to_disk(tmp_path):
         seeds_per_point=1,
         out_path=str(out),
     )
-    text = run_scaling(spec)
+    text = run_experiment(spec)
     assert out.read_text(encoding="utf-8") == text
     assert text.endswith("\n") and "\r" not in text
 

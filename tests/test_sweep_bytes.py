@@ -3,10 +3,11 @@
 Pins sha256 digests of ``run_experiment`` outputs, of every gnuplot
 companion script and of ``experiment`` runs through the CLI, on the cases the
 benchmark's golden digests leave out: custom ``sweep_values`` for every
-experiment, a robustness ``skipped`` row after a point that ran, alpha
-reference rows under ``k_s``/``k_max`` overrides, a ``switch-sweep`` restricted
-to the lattice families or to no allowed family, and the ``out_path`` file.  A refactor of the
-harness or the CLI must leave every digest unchanged.
+experiment, robustness ``skipped`` rows (after a point that ran, and after
+some replicates of the same point ran), alpha reference rows under
+``k_s``/``k_max`` overrides, a ``switch-sweep`` restricted to the lattice
+families or to no allowed family, and the ``out_path`` file.  A refactor of
+the harness or the CLI must leave every digest unchanged.
 """
 
 import hashlib
@@ -58,6 +59,11 @@ CASES = {
         horizon=30,
         sim=SimConfig(injection_rate=0.3, channels=2, buffer_capacity=4, ttl=40),
     ),
+    # replicates 0 and 1 have 74 switch links, replicate 2 has 72
+    "robustness-skip-mid-point": ExperimentSpec(
+        "robustness", families=("3DRMStandard",), sweep_values=(73,), seeds_per_point=3, master_seed=1,
+        k_s=2.0, horizon=10,
+    ),
     "robustness-default-grid": ExperimentSpec(
         "robustness", families=("3DCA",), seeds_per_point=1, master_seed=1, horizon=8,
     ),
@@ -72,6 +78,7 @@ DIGESTS = {
     "alpha-custom-overrides": "c9b79c2cef97d7ca3e4303bfc8411e2b226457a8a59e69240f3cc11e9a501d00",
     "alpha-default-grid": "4c0ffa5c2f0bd4799c9f8a85e41e6faac8211a276cbdacc5416853d1bffb58ad",
     "robustness-default-grid": "4a865ae11153bc50aa11f1d5f09e356e71d13d2137868c61bdc91101c15a3f51",
+    "robustness-skip-mid-point": "3f6e941fa29d90be811190859ee1f5faa4efbc5094f79271516bd53a8d3abf26",
     "robustness-skip-after-run": "2453ec4319b26b483ecce52243c4028253c789f13a9ee7ddf844f3acaf64c7cc",
     "scaling-custom": "aa905faa0ff5983217707e1f880c1fa648a4df2821ff153ade2937c33036457c",
     "scaling-default-grid": "59d5981666738697c68253fb4a00861556bc029b3929984c31487455efd12227",

@@ -340,6 +340,20 @@ def test_import_maps_non_numeric_fields_to_config_error(row):
         import_edge_list(text)
 
 
+def test_import_rejects_repeated_rows():
+    lines = export_edge_list(build(TopologyConfig("3DRMStandard", 16, 16, seed=3))).splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("L "))
+    _, a, b, _ = lines[first].split()
+    for repeat in (lines[first], f"L {a} {b} 0.999"):
+        text = "\n".join([*lines[: first + 1], repeat, *lines[first + 1 :]]) + "\n"
+        with pytest.raises(InvariantError, match=rf"^duplicate link \({a}, {b}\)$"):
+            import_edge_list(text)
+    for repeat in (lines[1], "N 0 S 0.5 0.5 0.5"):
+        text = "\n".join([*lines[:2], repeat, *lines[2:]]) + "\n"
+        with pytest.raises(ConfigError, match="repeats a node id"):
+            import_edge_list(text)
+
+
 def test_import_rejects_processing_node_on_two_switches():
     text = export_edge_list(_pn_on_two_switches())
     with pytest.raises(InvariantError, match="processing node 2 "):
