@@ -54,6 +54,8 @@ _FLAGS = {
     "deletions": (str, "comma list of link-deletion counts (robustness)"),
     "gnuplot": (bool, "also write a companion .gp plotting script next to --out"),
 }
+# config-file spellings of a boolean flag's value
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 _COMMON = ("family", "n", "s", "alpha", "ks", "kmax", "seed", "raw-attempt-count", "config", "out")
 _SIM = ("pi", "channels", "buffer", "steps", "routing", "ttl")
 
@@ -96,6 +98,10 @@ class _Options:
         self._file: dict[str, str] = {}
         if self._args.get("config"):
             self._file = harness.load_config_file(self._args["config"])
+        command = self._args["command"]
+        unknown = sorted(set(self._file) - set(_COMMANDS[command][2]))
+        if unknown:
+            raise ConfigError(f"config key {unknown[0]!r} names no flag of {command}")
 
     def get(self, flag: str, default=None):
         value = self._args.get(flag.replace("-", "_"))
@@ -105,7 +111,9 @@ class _Options:
             raw = self._file[flag]
             cast = _FLAGS[flag][0]
             if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
+                if raw.lower() not in _BOOLEANS:
+                    raise ConfigError(f"config value {flag} = {raw!r} is not a boolean")
+                return _BOOLEANS[raw.lower()]
             try:
                 return cast(raw)
             except ValueError:
@@ -183,18 +191,23 @@ def _cmd_experiment(opt: _Options) -> None:
     families = tuple(f.strip() for f in families.split(",") if f.strip()) if families else harness.FAMILIES
     experiment_id, deletions = opt.get("id"), opt.get("deletions")
     sweep = None
-    if experiment_id == "robustness" and deletions:
+    if deletions:
+        if experiment_id != "robustness":
+            raise ConfigError(f"--deletions applies to the robustness experiment, not {experiment_id}")
         try:
             sweep = tuple(int(d) for d in deletions.split(",") if d.strip())
         except ValueError:
             raise ConfigError(f"--deletions needs a comma list of integers, got {deletions!r}") from None
     spec = harness.ExperimentSpec(experiment_id, families, sweep, sim=_sim_config(opt), **opt.given(_SPEC_FIELDS))
+    gnuplot = opt.get("gnuplot", False)
+    if gnuplot and not spec.out_path:
+        raise ConfigError("--gnuplot requires --out")
+    if gnuplot and experiment_id not in harness.SWEEPS:
+        raise ConfigError(f"no gnuplot template for experiment {experiment_id!r}")
     text = harness.run_experiment(spec)
     if not spec.out_path:
         sys.stdout.write(text)
-    if opt.get("gnuplot", False):
-        if not spec.out_path:
-            raise ConfigError("--gnuplot requires --out")
+    if gnuplot:
         script = str(Path(spec.out_path).with_suffix(".gp"))
         harness.write_gnuplot_script(spec, spec.out_path, script)
 
@@ -206,7 +219,7 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, "run traffic and report delivery statistics", (*_COMMON, "topology", *_SIM)),
     "sync": (_cmd_sync, "run the frequency-averaging task", (*_COMMON, "topology", *_SIM)),
     "experiment": (_cmd_experiment, "run a sweep experiment to CSV",
-                   (*_COMMON, *_SIM, "seeds-per-point", "deletions", "gnuplot")),
+                   ("family", "ks", "kmax", "seed", "config", "out", *_SIM, "seeds-per-point", "deletions", "gnuplot")),
 }
 
 

@@ -4,9 +4,11 @@ Paths are always evaluated between processing-node pairs.  The hop count of a
 path is the number of switch nodes on it, so two processing nodes sharing a
 switch are 1 hop apart and lattice neighbors are (Manhattan distance + 1)
 apart.  PNs are degree-1 leaves, so hops, path lengths and simcore's routing
-tables all come from one switch-graph relaxation kernel, ``_relax``.  Path
-lengths seed it with stub lengths, which keeps the left fold
-``stub_i + l_1 + ... + stub_j`` of a Dijkstra from the PN bit for bit.
+tables all come from one relaxation kernel, ``_relax``, over the switch arcs
+that the Topology builds once (``Topology.switch_arcs``); clustering and the
+degree histogram read the same arcs.  Path lengths seed the kernel with stub
+lengths, which keeps the left fold ``stub_i + l_1 + ... + stub_j`` of a
+Dijkstra from the PN bit for bit.
 """
 
 from __future__ import annotations
@@ -69,16 +71,6 @@ class MetricsReport:
 _BLOCK = 64  # sources relaxed together; bounds the [arcs, block] candidate arrays
 
 
-def _switch_arcs(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both directions of every switch link as (tail, head, length), sorted by (head, tail)."""
-    lo, hi, length = topology.link_arrays()
-    switch_link = hi < topology.n_switch
-    lo, hi, length = lo[switch_link].astype(np.int32), hi[switch_link].astype(np.int32), length[switch_link]
-    tail, head = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-    order = np.lexsort((tail, head))
-    return tail[order], head[order], np.concatenate([length, length])[order]
-
-
 def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachable) -> np.ndarray:
     """Vectorised Bellman-Ford over (tail, head, weight) arcs, ``_BLOCK`` sources at a time.
 
@@ -112,7 +104,7 @@ def _switch_hops(topology: Topology) -> np.ndarray:
     """
     if topology._switch_hops is None:
         s_count = topology.n_switch
-        tail, head, _ = _switch_arcs(topology)
+        tail, head, _ = topology.switch_arcs()
         unit = (tail, head, np.ones(len(tail), dtype=np.int32))
         hops = _relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
         hops.setflags(write=False)
@@ -162,7 +154,7 @@ def pn_distance_matrix(topology: Topology) -> np.ndarray:
     stub = hi >= s_count  # every PN is a leaf, so these are its links, one each
     stubs = np.empty(topology.n_processing)
     stubs[hi[stub] - s_count] = length[stub]
-    dist = _relax(_switch_arcs(topology), s_count, pn_switch, stubs, np.inf)[pn_switch].T + stubs
+    dist = _relax(topology.switch_arcs(), s_count, pn_switch, stubs, np.inf)[pn_switch].T + stubs
     np.fill_diagonal(dist, 0.0)
     return dist
 
@@ -188,34 +180,27 @@ def clustering_coefficient(topology: Topology) -> float:
     (k * (k - 1) / 2).  Degree-0/1 switches have no defined value and are
     excluded from the mean rather than counted as zero.
     """
-    neighbor_sets = [set(topology.switch_neighbors(s)) for s in range(topology.n_switch)]
-    total = 0.0
-    counted = 0
-    for s in range(topology.n_switch):
-        nbrs = topology.switch_neighbors(s)
-        k = len(nbrs)
-        if k < 2:
-            continue
-        triangles = 0
-        for i in range(k):
-            set_i = neighbor_sets[nbrs[i]]
-            for j in range(i + 1, k):
-                if nbrs[j] in set_i:
-                    triangles += 1
-        total += triangles / (k * (k - 1) / 2)
-        counted += 1
-    if counted == 0:
+    tail, head, _ = topology.switch_arcs()
+    s_count = topology.n_switch
+    k = topology.switch_degrees()
+    # every pair p < q of arcs into one switch is a pair of its neighbours
+    later = np.repeat(np.cumsum(k), k) - np.arange(len(head)) - 1
+    first = np.repeat(np.arange(len(head)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    arc_key = head.astype(np.int64) * s_count + tail  # ascending: arcs are sorted by (head, tail)
+    closed = np.isin(tail[first].astype(np.int64) * s_count + tail[second], arc_key)
+    triangles = np.bincount(head[first][closed], minlength=s_count)
+    counted = k >= 2
+    if not counted.any():
         raise ValueError("no switch node has degree >= 2; clustering is undefined")
-    return total / counted
+    local = triangles[counted] / (k[counted] * (k[counted] - 1) / 2)
+    return float(np.cumsum(local)[-1] / len(local))  # switch-order left fold; np.sum is pairwise
 
 
 def degree_histogram(topology: Topology) -> dict[int, int]:
     """Switch-to-switch degree -> switch-node count."""
-    hist: dict[int, int] = {}
-    for s in range(topology.n_switch):
-        d = topology.switch_degree(s)
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))
+    degrees, counts = np.unique(topology.switch_degrees(), return_counts=True)
+    return dict(zip(degrees.tolist(), counts.tolist()))
 
 
 def compute_metrics(topology: Topology) -> MetricsReport:

@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .metrics import _BLOCK, _switch_arcs, _switch_hops
+from .metrics import _BLOCK, _switch_hops
 from .topology import ConfigError, Topology
 
 __all__ = [
@@ -165,7 +165,8 @@ def compute_routing_tables(topology: Topology) -> np.ndarray:
     """Next-hop table: entry [switch, pn_index] is the neighbor switch id.
 
     From the switch hop matrix (``metrics`` relaxation kernel) a switch picks
-    its lowest-id neighbor one hop closer to the destination PN's switch.
+    its lowest-id neighbor one hop closer to the destination PN's switch,
+    reading the topology's switch arcs.
     LOCAL marks the destination's own switch, UNREACHABLE a missing path
     (possible after fault injection).
     """
@@ -174,7 +175,7 @@ def compute_routing_tables(topology: Topology) -> np.ndarray:
     hops = _switch_hops(topology)
     # arcs sorted by (head, tail); read swapped, they are grouped by switch
     # with neighbors ascending, so a group minimum is the lowest-id choice
-    nbr, sw, _ = _switch_arcs(topology)
+    nbr, sw, _ = topology.switch_arcs()
     starts = np.flatnonzero(np.diff(sw, prepend=-1))
     table = np.full((s_count, s_count), UNREACHABLE, dtype=np.int32)
     for lo in range(0, s_count, _BLOCK):  # [S, S] by destination switch
@@ -239,13 +240,14 @@ class Simulation:
     ``Simulation(topology, config)`` has one, ``Simulation.lanes(...)`` one
     per topology.  Lane k's switches follow those of lanes 0..k-1, and its
     processing nodes follow all switches and the PNs of lanes 0..k-1, so
-    node ids are those of the disjoint union of the topologies (``topology``
-    builds that union when it is first read).  Each lane has its own
-    generator, its own TTL (100 * its switch count when unset) and its own
-    counters; one step serves every lane with the same array operations,
-    and a lane's outcome is exactly that of a simulation of its topology
-    alone.  The public counters (``injected``, ``delivered``, ...) are
-    totals over the lanes; ``stats(lane)`` gives one lane's statistics.
+    node ids are those of the disjoint union of the topologies.  That union
+    is ``topology``, built at set-up; the neighbour lists, PN attachments and
+    routing table are read from it.  Each lane has its own generator, its
+    own TTL (100 * its switch count when unset) and its own counters; one
+    step serves every lane with the same array operations, and a lane's
+    outcome is exactly that of a simulation of its topology alone.  The
+    public counters (``injected``, ``delivered``, ...) are totals over the
+    lanes; ``stats(lane)`` gives one lane's statistics.
 
     Messages are held as structure-of-arrays state.  The int64 pool
     ``_pool`` has one column per buffered message (rows: id, src, dst,
@@ -277,23 +279,14 @@ class Simulation:
         sim._setup(list(topologies), config, list(seeds))
         return sim
 
-    @property
-    def topology(self) -> Topology:
-        """The simulated topology; with several lanes, their disjoint union, built on first use."""
-        if self._topology is None:
-            self._topology = _disjoint_union(self._lane_topologies)
-        return self._topology
-
     def _setup(self, topologies: list[Topology], config: SimConfig, seeds: list[int]) -> None:
         config.validate()
         self.config = config
-        self._lane_topologies = topologies
-        self._topology = topologies[0] if len(topologies) == 1 else None
+        self.topology = union = _disjoint_union(topologies)
         sizes = [t.n_switch for t in topologies]
-        s_count = sum(sizes)
-        n_count = sum(t.n_processing for t in topologies)
+        s_count, n_count = union.n_switch, union.n_processing
         self._s_count = s_count
-        self._n_nodes = s_count + n_count
+        self._n_nodes = union.n_nodes
         self._switches = np.arange(s_count)
         # lane k's switches come after those of lanes 0..k-1, and so do its PNs after all switches
         self._lane_start = np.cumsum([0] + sizes[:-1], dtype=np.intp)
@@ -301,30 +294,23 @@ class Simulation:
         self._lane_bounds = [(lo, lo + n) for lo, n in zip(starts, sizes)]
         self._lane_of = np.repeat(np.arange(len(topologies)), sizes)
         self._switch_lane = self._lane_of.tolist()
-        self._pn_switch = [
-            sw + lo for t, lo in zip(topologies, starts) for sw in t.pn_switches().tolist()
-        ]
+        self._pn_switch = union.pn_switches().tolist()
 
-        # wandering takes neighbour int(draw * degree) of the switch's tuple;
-        # an isolated switch lists itself, so its messages stay put
-        nbrs = [
-            tuple(nb + lo for nb in t.switch_neighbors(s)) or (s + lo,)
-            for t, lo in zip(topologies, starts)
-            for s in range(t.n_switch)
-        ]
-        degree = [len(n) for n in nbrs]
-        self._neighbors = np.array([nb for n in nbrs for nb in n], dtype=np.intp)
-        self._first_neighbor = np.cumsum([0] + degree[:-1], dtype=np.intp)
-        self._degree = np.array(degree, dtype=np.intp)
+        # wandering takes neighbour int(draw * degree) of the switch's ascending
+        # list; an isolated switch lists itself, so its messages stay put
+        tail, _, _ = union.switch_arcs()
+        degree = union.switch_degrees()
+        isolated = np.flatnonzero(degree == 0)
+        self._neighbors = np.insert(tail, (np.cumsum(degree) - degree)[isolated], isolated).astype(np.intp)
+        self._degree = np.maximum(degree, 1)
+        self._first_neighbor = np.cumsum(self._degree) - self._degree
         self.routing_table = None
         if config.routing is Routing.SHORTEST_PATH:
-            self.routing_table = self._lane_routing_tables(topologies, starts)
+            self.routing_table = compute_routing_tables(union)
             # flat next hops, entry _route_row[sw] + dst; intp keeps sort keys from overflowing
             self._next_hop = self.routing_table.astype(np.intp).ravel()
             self._route_row = self._switches * n_count - s_count
-        self._stays = self.routing_table is None and any(
-            t.switch_degree(s) == 0 for t in topologies for s in range(t.n_switch)
-        )
+        self._stays = self.routing_table is None and len(isolated) > 0
 
         # per-lane generators, injection sources and TTLs
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -475,23 +461,6 @@ class Simulation:
         self._logged = 0
 
     # -- array state ------------------------------------------------------------
-
-    @staticmethod
-    def _lane_routing_tables(topologies: list[Topology], starts: list[int]) -> np.ndarray:
-        """Next-hop table over all lanes: each lane's own table, shifted to its
-        switch ids, on the diagonal; no lane reaches another's PNs."""
-        tables = [compute_routing_tables(t) for t in topologies]
-        if len(tables) == 1:
-            return tables[0]
-        shape = (sum(t.shape[0] for t in tables), sum(t.shape[1] for t in tables))
-        out = np.full(shape, UNREACHABLE, dtype=np.int32)
-        col = 0
-        for table, lo in zip(tables, starts):
-            out[lo : lo + table.shape[0], col : col + table.shape[1]] = np.where(
-                table >= 0, table + lo, table
-            )
-            col += table.shape[1]
-        return out
 
     def _set_width(self, width: int) -> None:
         """Allocate an empty ring of ``width`` columns per switch (a power of two)."""
@@ -724,18 +693,19 @@ def _disjoint_union(parts: Sequence[Topology]) -> Topology:
     if len(parts) == 1:
         return parts[0]
     s_total = sum(t.n_switch for t in parts)
-    links: dict[tuple[int, int], float] = {}
+    ends, lengths = [], []
     switch_base, pn_base = 0, s_total
     for t in parts:
-        shift = np.where(np.arange(t.n_nodes) < t.n_switch, switch_base, pn_base - t.n_switch)
-        for (a, b), length in t.link_items():
-            links[(a + shift.item(a), b + shift.item(b))] = length
+        lo, hi, length = t.link_arrays()
+        ends += [np.where(ids < t.n_switch, ids + switch_base, ids + pn_base - t.n_switch) for ids in (lo, hi)]
+        lengths.append(length)
         switch_base += t.n_switch
         pn_base += t.n_processing
     positions = np.concatenate(
         [t.positions[: t.n_switch] for t in parts] + [t.positions[t.n_switch :] for t in parts]
     )
     family = "+".join(dict.fromkeys(t.family for t in parts))
+    links = (np.concatenate(ends[0::2]), np.concatenate(ends[1::2]), np.concatenate(lengths))
     return Topology(family, parts[0].seed, s_total, pn_base - s_total, positions, links)
 
 

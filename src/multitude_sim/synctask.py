@@ -29,7 +29,6 @@ from .topology import ConfigError, Topology
 __all__ = [
     "SYNC_THRESHOLDS",
     "SYNC_CSV_HEADER",
-    "OscillatorField",
     "SyncTrace",
     "run_sync_task",
     "trace_csv_rows",
@@ -43,16 +42,6 @@ _TASK_STREAM = 0x5CA1AB1E
 
 
 @dataclass
-class OscillatorField:
-    """Per-processing-node frequencies; values stay inside the initial hull."""
-
-    values: np.ndarray
-
-    def stddev(self) -> float:
-        return float(np.std(self.values))  # population formula
-
-
-@dataclass
 class SyncTrace:
     """Standard-deviation trace plus steps-to-threshold summary."""
 
@@ -63,10 +52,6 @@ class SyncTrace:
     alpha: float | None
     stddevs: list[float]
     steps_to_threshold: dict[float, int | None]
-
-    @property
-    def horizon(self) -> int:
-        return len(self.stddevs) - 1
 
 
 def run_sync_task(

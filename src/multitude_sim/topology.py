@@ -104,9 +104,6 @@ class Point3:
     y: float
     z: float
 
-    def distance_to(self, other: "Point3") -> float:
-        return math.dist((self.x, self.y, self.z), (other.x, other.y, other.z))
-
 
 @dataclass
 class TopologyConfig:
@@ -183,7 +180,9 @@ class Topology:
     ``n_switch .. n_switch+n_processing-1``.  Links are undirected, stored
     once with endpoints ordered low id first and sorted by (low, high), and
     carry a cached Euclidean length (the lattice-family stub links are pinned
-    to 0.01).  They are kept as three read-only arrays (``link_arrays``).
+    to 0.01).  They are kept as three read-only arrays (``link_arrays``), and
+    the switch graph, built once here, as both directions of every switch link
+    (``switch_arcs``): every switch-graph quantity reads that one form.
 
     ``links`` maps (a, b) to a length, or is an (a, b, length) triple of
     equal-length sequences; either way a self-loop, an unknown node or a
@@ -203,9 +202,8 @@ class Topology:
         "_lo",
         "_hi",
         "_length",
-        "_neighbors",
-        "_starts",
-        "_switch_adjacency",
+        "_arcs",
+        "_arc_start",
         "_pn_switch",
         "_switch_hops",
     )
@@ -258,28 +256,24 @@ class Topology:
         for arr in (self._lo, self._hi, self._length):
             arr.setflags(write=False)
 
-        # node i's neighbours, ascending, are _neighbors[_starts[i] : _starts[i + 1]]
-        ends = np.concatenate([self._lo, self._hi])
-        others = np.concatenate([self._hi, self._lo])
-        self._neighbors = others[np.argsort(ends * n_nodes + others)]
-        self._starts = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=n_nodes), out=self._starts[1:])
-        for arr in (self._neighbors, self._starts):
+        # both directions of every switch link as int32 (tail, head) and length,
+        # sorted by (head, tail): switch s's neighbours, ascending, are the
+        # tails of arcs _arc_start[s] : _arc_start[s + 1]
+        s_count = self.n_switch
+        switch_link = self._hi < s_count
+        lo32, hi32 = self._lo[switch_link].astype(np.int32), self._hi[switch_link].astype(np.int32)
+        tail, head = np.concatenate([lo32, hi32]), np.concatenate([hi32, lo32])
+        order = np.lexsort((tail, head))
+        self._arcs = (tail[order], head[order], np.concatenate([self._length[switch_link]] * 2)[order])
+        self._arc_start = np.zeros(s_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(head, minlength=s_count), out=self._arc_start[1:])
+        for arr in (*self._arcs, self._arc_start):
             arr.setflags(write=False)
-        # a switch's switch neighbours are the low-id prefix of its neighbours
-        switch_link = self._hi < self.n_switch
-        degree = np.bincount(
-            np.concatenate([self._lo[switch_link], self._hi[switch_link]]), minlength=self.n_switch
-        ).tolist()
-        starts = self._starts.tolist()
-        flat = self._neighbors[: starts[self.n_switch]].tolist()
-        self._switch_adjacency = tuple(
-            tuple(flat[starts[s] : starts[s] + degree[s]]) for s in range(self.n_switch)
-        )
-        # a PN is a leaf when its only neighbour is a switch
-        first = np.append(self._neighbors, n_nodes)[self._starts[self.n_switch : n_nodes]]
-        leaf = (np.diff(self._starts[self.n_switch :]) == 1) & (first < self.n_switch)
-        pn_switch = np.where(leaf, first, -1)
+        # a PN is a leaf when its only link is a stub to a switch
+        stub = (self._lo < s_count) & (self._hi >= s_count)
+        pn_switch = np.full(self.n_processing, -1, dtype=np.int64)
+        pn_switch[self._hi[stub] - s_count] = self._lo[stub]
+        pn_switch[np.bincount(np.concatenate([self._lo, self._hi]), minlength=n_nodes)[s_count:] != 1] = -1
         pn_switch.setflags(write=False)
         self._pn_switch = pn_switch
         self._switch_hops = None  # [S, S] hop counts, filled once by metrics._switch_hops
@@ -335,16 +329,27 @@ class Topology:
         switch_link = self._hi < self.n_switch
         return list(zip(self._lo[switch_link].tolist(), self._hi[switch_link].tolist()))
 
+    def switch_arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only int32 (tail, head) and length of both directions of every switch
+        link, sorted by (head, tail); a switch's arcs are its neighbours, ascending."""
+        return self._arcs
+
+    def switch_degrees(self) -> np.ndarray:
+        """Switch-to-switch degree per switch (stub links excluded)."""
+        return np.diff(self._arc_start)
+
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         node = range(self.n_nodes)[node_id]  # negative ids count from the end, as tuple indexing does
-        return tuple(self._neighbors[self._starts[node] : self._starts[node + 1]].tolist())
+        return tuple(self._lo[self._hi == node].tolist() + self._hi[self._lo == node].tolist())
 
     def switch_neighbors(self, switch_id: int) -> tuple[int, ...]:
-        return self._switch_adjacency[switch_id]
+        s = range(self.n_switch)[switch_id]
+        return tuple(self._arcs[0][self._arc_start[s] : self._arc_start[s + 1]].tolist())
 
     def switch_degree(self, switch_id: int) -> int:
         """Switch-to-switch degree (stub links excluded)."""
-        return len(self._switch_adjacency[switch_id])
+        s = range(self.n_switch)[switch_id]
+        return int(self._arc_start[s + 1] - self._arc_start[s])
 
     def attached_switch(self, pn_id: int) -> int:
         return int(self._pn_switch[pn_id - self.n_switch])
@@ -397,7 +402,7 @@ class Topology:
                 )
         if self.family == "3DRMRealistic":
             cap = self.k_max if self.k_max is not None else 0
-            worst = max(map(len, self._switch_adjacency), default=0)
+            worst = int(self.switch_degrees().max(initial=0))
             if worst > cap:
                 raise InvariantError(f"switch degree {worst} exceeds k_max={cap}")
         if require_connected and _switch_components(self)[0] > 1:
@@ -418,10 +423,7 @@ def _switch_components(topology: Topology) -> tuple[int, np.ndarray]:
     then the label its label's switch holds, until nothing changes.
     """
     s_count = topology.n_switch
-    lo, hi, _ = topology.link_arrays()
-    switch_link = hi < s_count
-    tail = np.concatenate([lo[switch_link], hi[switch_link]])
-    head = np.concatenate([hi[switch_link], lo[switch_link]])
+    tail, head, _ = topology.switch_arcs()
     label = np.arange(s_count)
     while True:
         nxt = label.copy()
@@ -651,7 +653,7 @@ def ensure_connected(topology: Topology, rng: np.random.Generator) -> Topology:
     alpha = topology.alpha if topology.alpha is not None else FAMILY_ALPHA[topology.family]
     k_max = topology.k_max
     positions = topology.positions[: topology.n_switch]
-    degree = [topology.switch_degree(s_id) for s_id in range(topology.n_switch)]
+    degree = topology.switch_degrees().tolist()
     bridges: list[tuple[int, int, float]] = []
 
     components: dict[int, list[int]] = {}

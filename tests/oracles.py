@@ -11,7 +11,10 @@ deques of ``Message`` objects served one message at a time.
 ``topology.build`` and ``topology.remove_random_links`` as they were before
 the array-backed topology: a cumsum over the candidates on every l^-alpha
 pick, a dict of links checked one by one, and a BFS for the switch
-components.
+components.  ``_switch_arcs`` and ``_lane_routing_tables`` are the switch-arc
+builder that ``metrics`` ran on every call and the per-lane routing tables
+that ``Simulation`` stitched together, before the switch arcs were built once
+in the ``Topology`` constructor and lanes were read from their union.
 """
 
 import heapq
@@ -158,6 +161,33 @@ def next_hop_oracle(topology):
                 out[(sw, pn)] = -2
             else:
                 out[(sw, pn)] = min(nb for nb, _ in adj[sw] if dist.get(nb) == dist[sw] - 1)
+    return out
+
+
+def _switch_arcs(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both directions of every switch link as (tail, head, length), sorted by (head, tail)."""
+    lo, hi, length = topology.link_arrays()
+    switch_link = hi < topology.n_switch
+    lo, hi, length = lo[switch_link].astype(np.int32), hi[switch_link].astype(np.int32), length[switch_link]
+    tail, head = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.lexsort((tail, head))
+    return tail[order], head[order], np.concatenate([length, length])[order]
+
+
+def _lane_routing_tables(topologies: list[Topology], starts: list[int]) -> np.ndarray:
+    """Next-hop table over all lanes: each lane's own table, shifted to its
+    switch ids, on the diagonal; no lane reaches another's PNs."""
+    tables = [compute_routing_tables(t) for t in topologies]
+    if len(tables) == 1:
+        return tables[0]
+    shape = (sum(t.shape[0] for t in tables), sum(t.shape[1] for t in tables))
+    out = np.full(shape, UNREACHABLE, dtype=np.int32)
+    col = 0
+    for table, lo in zip(tables, starts):
+        out[lo : lo + table.shape[0], col : col + table.shape[1]] = np.where(
+            table >= 0, table + lo, table
+        )
+        col += table.shape[1]
     return out
 
 

@@ -5,7 +5,9 @@ positions, links in the same order with the same float bits, the same
 adjacency and attachments, and GenerationError on the same configs; and
 ``remove_random_links`` must delete the links the reference deletes.  The
 Topology constructor and ``validate`` must accept and reject the same link
-sets as the reference class, naming the same first offending link.
+sets as the reference class, naming the same first offending link.  The
+switch arcs a Topology builds once must equal, values and int32 ids, what
+``oracles._switch_arcs`` rebuilds from its links.
 """
 
 import math
@@ -39,6 +41,11 @@ def assert_same_topology(new, ref):
     assert [new.switch_neighbors(s) for s in range(new.n_switch)] == [
         ref.switch_neighbors(s) for s in range(ref.n_switch)
     ]
+    arcs, ref_arcs = new.switch_arcs(), oracles._switch_arcs(new)
+    assert [a.dtype for a in arcs] == [a.dtype for a in ref_arcs] == [np.int32, np.int32, np.float64]
+    assert [a.tobytes() for a in arcs] == [a.tobytes() for a in ref_arcs]
+    degrees = [ref.switch_degree(s) for s in range(ref.n_switch)]
+    assert new.switch_degrees().tolist() == [new.switch_degree(s) for s in range(new.n_switch)] == degrees
     assert [new.attached_switch(p) for p in new.processing_ids] == [
         ref.attached_switch(p) for p in ref.processing_ids
     ]
@@ -108,6 +115,15 @@ def test_build_matches_reference_builder_at_size(config):
         assert new == ref
     else:
         assert_same_topology(new, ref)
+
+
+def test_isolated_switch_matches_reference():
+    # 2DCA on 64 switches has 112 switch links; 80 deletions strand some switches
+    new, ref = build(TopologyConfig("2DCA", 64, 64, seed=0)), reference_build(TopologyConfig("2DCA", 64, 64, seed=0))
+    new = remove_random_links(new, 80, np.random.default_rng(0))
+    ref = reference_remove_random_links(ref, 80, np.random.default_rng(0))
+    assert 0 in new.switch_degrees()
+    assert_same_topology(new, ref)
 
 
 @st.composite

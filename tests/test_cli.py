@@ -100,6 +100,65 @@ def test_config_error_exit_code():
                  "--topology", "nope"]) == 1  # unknown flag for this command
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--n", "5"],
+        ["--s", "5"],
+        ["--alpha", "2.0"],
+        ["--raw-attempt-count"],
+        ["--deletions", "1,2"],  # only robustness reads deletions
+        ["--gnuplot"],  # no --out to put the script next to
+    ],
+)
+def test_experiment_rejects_flags_it_would_ignore(capsys, extra):
+    argv = ["experiment", "switch-sweep", "--family", "3DCA", "--seeds-per-point", "1", *extra]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_sync_experiment_gnuplot_fails_before_running(tmp_path, capsys):
+    out = tmp_path / "sync.csv"
+    assert main(["experiment", "sync", "--family", "2DCA", "--out", str(out), "--gnuplot"]) == 1
+    assert "no gnuplot template" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_rejects_deletions_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = 3DCA\nseeds-per-point = 1\ndeletions = 1,2\n", encoding="utf-8")
+    assert main(["experiment", "scaling", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--deletions" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("sed = 5", "config key 'sed' names no flag of generate"),
+        ("steps = 5", "config key 'steps' names no flag of generate"),  # a flag of other commands
+        ("raw-attempt-count = ture", "raw-attempt-count = 'ture' is not a boolean"),
+    ],
+)
+def test_config_file_mistakes_exit_code(tmp_path, capsys, line, message):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"family = 2DCA\nn = 9\ns = 9\n{line}\n", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("value, raw", [("off", False), ("No", False), ("0", False), ("1", True), ("TRUE", True)])
+def test_config_file_boolean_spellings(tmp_path, capsys, value, raw):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"family = 3DRMStandard\nn = 16\ns = 16\nraw_attempt_count = {value}\n", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["generate", "--family", "3DRMStandard", "--n", "16", "--s", "16", *["--raw-attempt-count"] * raw]) == 0
+    assert from_file == capsys.readouterr().out
+
+
 def test_non_leaf_processing_node_exit_code(tmp_path, capsys):
     topo = tmp_path / "topo.txt"
     topo.write_text(

@@ -5,7 +5,8 @@ Both engines are driven with the same topology, config and seed; every
 step's delivered and dropped records (ids, hops and order), every counter
 and the final statistics must agree exactly.  ``simcore.run_many`` runs
 jobs as lanes of one simulation; each lane must give exactly what
-``oracles.reference_run`` gives for its job alone.
+``oracles.reference_run`` gives for its job alone, and its routing table is
+each lane's own table stitched together (``oracles._lane_routing_tables``).
 """
 
 from dataclasses import replace
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from multitude_sim import ConfigError, TopologyConfig, build, remove_random_links, simcore, synctask
 from multitude_sim.simcore import Routing, SimConfig, Simulation
-from oracles import ReferenceSimulation, reference_run
+from oracles import ReferenceSimulation, _lane_routing_tables, reference_run
 
 # 2DCA on 64 switches has 112 switch links; deleting 40-80 strands switches,
 # whose messages go back to their own buffer
@@ -132,6 +133,18 @@ def test_run_many_matches_reference_runs(lanes, config):
     config = replace(config, horizon=config.horizon % 8)
     jobs = [(make_topology(*topo_key), replace(config, seed=seed)) for topo_key, seed in lanes]
     assert simcore.run_many(jobs) == [reference_run(topo, cfg) for topo, cfg in jobs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(lanes=st.lists(TOPOLOGIES, min_size=1, max_size=6))
+def test_lane_routing_table_matches_stitched_lane_tables(lanes):
+    # mixed sizes (27, 32 and 64 switches) and faulted 2DCA lanes with unreachable pairs
+    topologies = [make_topology(*topo_key) for topo_key in lanes]
+    sim = Simulation.lanes(topologies, SimConfig(), list(range(len(topologies))))
+    starts = np.cumsum([0] + [t.n_switch for t in topologies[:-1]]).tolist()
+    reference = _lane_routing_tables(topologies, starts)
+    assert sim.routing_table.dtype == reference.dtype
+    assert np.array_equal(sim.routing_table, reference)
 
 
 def test_run_many_lanes_leave_the_drain_on_their_own():
