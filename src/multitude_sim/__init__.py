@@ -7,8 +7,6 @@ from .topology import (
     ConfigError,
     GenerationError,
     InvariantError,
-    NodeKind,
-    Point3,
     Topology,
     TopologyConfig,
     build,
@@ -30,8 +28,6 @@ __all__ = [
     "ConfigError",
     "GenerationError",
     "InvariantError",
-    "NodeKind",
-    "Point3",
     "Topology",
     "TopologyConfig",
     "build",

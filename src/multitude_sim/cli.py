@@ -57,7 +57,11 @@ _FLAGS = {
 # config-file spellings of a boolean flag's value
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
 _COMMON = ("family", "n", "s", "alpha", "ks", "kmax", "seed", "raw-attempt-count", "config", "out")
-_SIM = ("pi", "channels", "buffer", "steps", "routing", "ttl")
+_TRAFFIC = ("channels", "buffer", "steps", "ttl")  # what the sync task reads; it injects nothing
+_SIM = ("pi", *_TRAFFIC, "routing")
+# the flags of `experiment` that only some experiments read; the static sweeps read none
+_EXPERIMENT_ONLY = ("pi", *_TRAFFIC, "deletions")
+_EXPERIMENT_READS = {"robustness": _EXPERIMENT_ONLY, "sync": _TRAFFIC}
 
 # flag -> the config field it sets; a flag left unset keeps the field's default
 _TOPOLOGY_FIELDS = {"n": "n_processing", "s": "n_switch", "alpha": "alpha", "ks": "k_s", "kmax": "k_max",
@@ -190,10 +194,11 @@ def _cmd_experiment(opt: _Options) -> None:
     families = opt.get("family")
     families = tuple(f.strip() for f in families.split(",") if f.strip()) if families else harness.FAMILIES
     experiment_id, deletions = opt.get("id"), opt.get("deletions")
+    for flag in _EXPERIMENT_ONLY:
+        if opt.get(flag) is not None and flag not in _EXPERIMENT_READS.get(experiment_id, ()):
+            raise ConfigError(f"--{flag} does not apply to the {experiment_id} experiment")
     sweep = None
     if deletions:
-        if experiment_id != "robustness":
-            raise ConfigError(f"--deletions applies to the robustness experiment, not {experiment_id}")
         try:
             sweep = tuple(int(d) for d in deletions.split(",") if d.strip())
         except ValueError:
@@ -217,9 +222,9 @@ _COMMANDS = {
     "generate": (_cmd_generate, "build a topology and write its edge list", _COMMON),
     "metrics": (_cmd_metrics, "static metrics for a topology", (*_COMMON, "topology")),
     "simulate": (_cmd_simulate, "run traffic and report delivery statistics", (*_COMMON, "topology", *_SIM)),
-    "sync": (_cmd_sync, "run the frequency-averaging task", (*_COMMON, "topology", *_SIM)),
+    "sync": (_cmd_sync, "run the frequency-averaging task", (*_COMMON, "topology", *_TRAFFIC)),
     "experiment": (_cmd_experiment, "run a sweep experiment to CSV",
-                   ("family", "ks", "kmax", "seed", "config", "out", *_SIM, "seeds-per-point", "deletions", "gnuplot")),
+                   ("family", "ks", "kmax", "seed", "config", "out", *_EXPERIMENT_ONLY, "seeds-per-point", "gnuplot")),
 }
 
 

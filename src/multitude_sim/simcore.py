@@ -96,6 +96,8 @@ class SimConfig:
             raise ConfigError("ttl must be >= 1 when set")
         if not isinstance(self.routing, Routing):
             raise ConfigError(f"routing must be a Routing value, got {self.routing!r}")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ConfigError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(slots=True)
@@ -280,7 +282,8 @@ class Simulation:
         return sim
 
     def _setup(self, topologies: list[Topology], config: SimConfig, seeds: list[int]) -> None:
-        config.validate()
+        for seed in seeds:  # the lanes' seeds stand in for config.seed
+            replace(config, seed=seed).validate()
         self.config = config
         self.topology = union = _disjoint_union(topologies)
         sizes = [t.n_switch for t in topologies]

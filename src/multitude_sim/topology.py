@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from itertools import chain
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +33,6 @@ __all__ = [
     "ConfigError",
     "GenerationError",
     "InvariantError",
-    "NodeKind",
-    "Point3",
     "TopologyConfig",
     "Topology",
     "build",
@@ -75,8 +71,8 @@ REPAIR_ATTEMPT_BUDGET = 1000
 
 EDGE_LIST_HEADER = "# multitude-topology v1"
 
-# a link set: {(a, b): length}, or (a, b, length) as three equal-length sequences
-Links = Mapping[tuple[int, int], float] | tuple[Sequence[int], Sequence[int], Sequence[float]]
+# a link set: (a, b, length) as three equal-length sequences
+Links = tuple[Sequence[int], Sequence[int], Sequence[float]]
 
 
 class ConfigError(ValueError):
@@ -89,20 +85,6 @@ class GenerationError(RuntimeError):
 
 class InvariantError(ValueError):
     """A topology violates one of its structural invariants."""
-
-
-class NodeKind(Enum):
-    PROCESSING = "P"
-    SWITCH = "S"
-
-
-@dataclass(frozen=True)
-class Point3:
-    """Position in the unit cube; 2D families keep z = 0."""
-
-    x: float
-    y: float
-    z: float
 
 
 @dataclass
@@ -177,17 +159,18 @@ class Topology:
     """Immutable embedded interconnect graph.
 
     Switch nodes occupy ids ``0 .. n_switch-1`` and processing nodes
-    ``n_switch .. n_switch+n_processing-1``.  Links are undirected, stored
-    once with endpoints ordered low id first and sorted by (low, high), and
-    carry a cached Euclidean length (the lattice-family stub links are pinned
-    to 0.01).  They are kept as three read-only arrays (``link_arrays``), and
-    the switch graph, built once here, as both directions of every switch link
-    (``switch_arcs``): every switch-graph quantity reads that one form.
+    ``n_switch .. n_switch+n_processing-1``; a node is its row of
+    ``positions``.  Links are undirected, stored once with endpoints ordered
+    low id first and sorted by (low, high), and carry a cached Euclidean
+    length (the lattice-family stub links are pinned to 0.01).  They are kept
+    as three read-only arrays (``link_arrays``), and the switch graph, built
+    once here, as both directions of every switch link (``switch_arcs``):
+    every switch-graph quantity reads that one form.
 
-    ``links`` maps (a, b) to a length, or is an (a, b, length) triple of
-    equal-length sequences; either way a self-loop, an unknown node or a
-    second link between the same pair raises InvariantError naming the first
-    offending entry.
+    ``links`` is an (a, b, length) triple of equal-length sequences.  A
+    self-loop, an unknown node or a second link between the same pair raises
+    InvariantError naming the first offending entry; so does a processing
+    node that is not a leaf on exactly one switch.
     """
 
     __slots__ = (
@@ -235,7 +218,7 @@ class Topology:
         pos.setflags(write=False)
         self._positions = pos
 
-        a, b, length = links if isinstance(links, tuple) else _link_arrays(links)
+        a, b, length = links
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         length = np.asarray(length, dtype=float)
@@ -269,11 +252,14 @@ class Topology:
         np.cumsum(np.bincount(head, minlength=s_count), out=self._arc_start[1:])
         for arr in (*self._arcs, self._arc_start):
             arr.setflags(write=False)
-        # a PN is a leaf when its only link is a stub to a switch
+        # every PN is a leaf: its only link is a stub to a switch
         stub = (self._lo < s_count) & (self._hi >= s_count)
         pn_switch = np.full(self.n_processing, -1, dtype=np.int64)
         pn_switch[self._hi[stub] - s_count] = self._lo[stub]
         pn_switch[np.bincount(np.concatenate([self._lo, self._hi]), minlength=n_nodes)[s_count:] != 1] = -1
+        bad = np.flatnonzero(pn_switch < 0)
+        if len(bad):
+            raise InvariantError(f"processing node {s_count + bad[0]} must attach to exactly one switch node")
         pn_switch.setflags(write=False)
         self._pn_switch = pn_switch
         self._switch_hops = None  # [S, S] hop counts, filled once by metrics._switch_hops
@@ -296,26 +282,9 @@ class Topology:
     def processing_ids(self) -> range:
         return range(self.n_switch, self.n_nodes)
 
-    def kind(self, node_id: int) -> NodeKind:
-        return NodeKind.SWITCH if node_id < self.n_switch else NodeKind.PROCESSING
-
-    def position(self, node_id: int) -> Point3:
-        x, y, z = self._positions[node_id]
-        return Point3(float(x), float(y), float(z))
-
-    def nodes(self) -> Iterator[tuple[int, NodeKind, Point3]]:
-        for i in range(self.n_nodes):
-            yield i, self.kind(i), self.position(i)
-
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (low id, high id, length) per link, sorted by (low, high)."""
         return self._lo, self._hi, self._length
-
-    def link_items(self) -> Iterator[tuple[tuple[int, int], float]]:
-        return zip(zip(self._lo.tolist(), self._hi.tolist()), self._length.tolist())
-
-    def link_dict(self) -> dict[tuple[int, int], float]:
-        return dict(self.link_items())
 
     def link_length(self, a: int, b: int) -> float:
         key = (a, b) if a < b else (b, a)
@@ -338,10 +307,6 @@ class Topology:
         """Switch-to-switch degree per switch (stub links excluded)."""
         return np.diff(self._arc_start)
 
-    def neighbors(self, node_id: int) -> tuple[int, ...]:
-        node = range(self.n_nodes)[node_id]  # negative ids count from the end, as tuple indexing does
-        return tuple(self._lo[self._hi == node].tolist() + self._hi[self._lo == node].tolist())
-
     def switch_neighbors(self, switch_id: int) -> tuple[int, ...]:
         s = range(self.n_switch)[switch_id]
         return tuple(self._arcs[0][self._arc_start[s] : self._arc_start[s + 1]].tolist())
@@ -355,10 +320,7 @@ class Topology:
         return int(self._pn_switch[pn_id - self.n_switch])
 
     def pn_switches(self) -> np.ndarray:
-        """Read-only attached switch per PN index; InvariantError names a PN that is no leaf."""
-        bad = np.flatnonzero(self._pn_switch < 0)
-        if len(bad):
-            raise InvariantError(f"processing node {self.n_switch + bad[0]} must attach to exactly one switch node")
+        """Read-only attached switch per PN index."""
         return self._pn_switch
 
     def with_links(self, links: Links) -> "Topology":
@@ -384,7 +346,6 @@ class Topology:
             raise InvariantError("node positions must lie in the unit cube")
         if self.family == "2DCA" and np.any(pos[:, 2] != 0.0):
             raise InvariantError("2DCA positions must have z = 0")
-        self.pn_switches()
         lo, hi, length = self._lo, self._hi, self._length
         lattice_stub = (hi >= self.n_switch) & (self.family in CA_FAMILIES)
         # numpy's sum of squares can differ from math.dist in the last bits, so
@@ -407,12 +368,6 @@ class Topology:
                 raise InvariantError(f"switch degree {worst} exceeds k_max={cap}")
         if require_connected and _switch_components(self)[0] > 1:
             raise InvariantError("switch subgraph is not connected")
-
-
-def _link_arrays(links: Mapping[tuple[int, int], float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, length) arrays of a {(a, b): length} mapping, in its iteration order."""
-    ends = np.fromiter(chain.from_iterable(links), dtype=np.int64, count=2 * len(links))
-    return ends[0::2], ends[1::2], np.fromiter(links.values(), dtype=float, count=len(links))
 
 
 def _switch_components(topology: Topology) -> tuple[int, np.ndarray]:
@@ -656,37 +611,32 @@ def ensure_connected(topology: Topology, rng: np.random.Generator) -> Topology:
     degree = topology.switch_degrees().tolist()
     bridges: list[tuple[int, int, float]] = []
 
-    components: dict[int, list[int]] = {}
-    for node, comp in enumerate(label.tolist()):
-        components.setdefault(comp, []).append(node)
-    groups = sorted(components.values(), key=lambda grp: (len(grp), grp[0]))
-
+    # labels are numbered by lowest member: argmin picks the smallest component,
+    # lowest first member on a tie, and a merge keeps the lower label
+    size = np.bincount(label).astype(float)
     failures = 0
-    while len(groups) > 1:
-        smallest = groups[0]
-        rest = sorted(node for grp in groups[1:] for node in grp)
-        placed = False
-        while not placed:
+    for _ in range(n_comp - 1):
+        comp = int(size.argmin())
+        smallest, rest = np.flatnonzero(label == comp), np.flatnonzero(label != comp)
+        while True:
             if failures >= REPAIR_ATTEMPT_BUDGET:
                 raise GenerationError(
                     "connectivity repair exhausted its retry budget "
                     f"(family={topology.family}, k_max={k_max}); config is infeasible"
                 )
-            src = smallest[int(rng.integers(len(smallest)))]
+            src = int(smallest[rng.integers(len(smallest))])
             dists = np.sqrt(((positions[rest] - positions[src]) ** 2).sum(axis=1))
-            dst = rest[_draw(_cumulative_weights(dists, alpha), rng)]
-            if k_max is not None and (degree[src] >= k_max or degree[dst] >= k_max):
-                failures += 1
-                continue
-            bridges.append((src, dst, math.dist(positions[src], positions[dst])))
-            degree[src] += 1
-            degree[dst] += 1
-            placed = True
-        merged = sorted(smallest + next(grp for grp in groups[1:] if dst in grp))
-        groups = sorted(
-            [grp for grp in groups[1:] if dst not in grp] + [merged],
-            key=lambda grp: (len(grp), grp[0]),
-        )
+            dst = int(rest[_draw(_cumulative_weights(dists, alpha), rng)])
+            if k_max is None or (degree[src] < k_max and degree[dst] < k_max):
+                break
+            failures += 1
+        bridges.append((src, dst, math.dist(positions[src], positions[dst])))
+        degree[src] += 1
+        degree[dst] += 1
+        keep, gone = sorted((comp, int(label[dst])))
+        label[label == gone] = keep
+        size[keep] += size[gone]
+        size[gone] = np.inf
     lo, hi, length = topology.link_arrays()
     src_ids, dst_ids, lengths = zip(*bridges)
     return topology.with_links(
@@ -726,12 +676,12 @@ def export_edge_list(topology: Topology) -> str:
     Floats are printed with repr (shortest exact round-trip form).
     """
     lines = [f"{EDGE_LIST_HEADER} family={topology.family} seed={topology.seed}"]
-    for node_id, kind, point in topology.nodes():
-        lines.append(
-            f"N {node_id} {kind.value} {float(point.x)!r} {float(point.y)!r} {float(point.z)!r}"
-        )
-    for (a, b), length in topology.link_items():
-        lines.append(f"L {a} {b} {float(length)!r}")
+    for node_id, (x, y, z) in enumerate(topology.positions.tolist()):
+        kind = "S" if node_id < topology.n_switch else "P"
+        lines.append(f"N {node_id} {kind} {x!r} {y!r} {z!r}")
+    lo, hi, length = topology.link_arrays()
+    for a, b, ln in zip(lo.tolist(), hi.tolist(), length.tolist()):
+        lines.append(f"L {a} {b} {ln!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -791,7 +741,7 @@ def import_edge_list(text: str) -> Topology:
     if any(kinds[i] != "S" for i in range(n_switch)):
         raise ConfigError("switch node ids must precede processing node ids")
     positions = np.array([coords[i] for i in range(total)])
-    topology = Topology(
+    return Topology(
         family,
         seed,
         n_switch,
@@ -802,5 +752,3 @@ def import_edge_list(text: str) -> Topology:
         k_s=None,
         k_max=10 if family == "3DRMRealistic" else None,
     )
-    topology.pn_switches()  # InvariantError unless every PN is a leaf on one switch
-    return topology

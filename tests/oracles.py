@@ -44,8 +44,6 @@ from multitude_sim.topology import (
     ConfigError,
     GenerationError,
     InvariantError,
-    NodeKind,
-    Point3,
     Topology,
     TopologyConfig,
     _lattice_side,
@@ -54,7 +52,14 @@ from multitude_sim.topology import (
 
 def edge_list(topology):
     """[(a, b, length), ...] pulled out once so oracles don't touch adjacency."""
-    return [(a, b, ln) for (a, b), ln in topology.link_items()]
+    lo, hi, length = topology.link_arrays()
+    return list(zip(lo.tolist(), hi.tolist(), length.tolist()))
+
+
+def link_triple(links):
+    """(a, b, length) lists of a {(a, b): length} dict, in its iteration order:
+    the link form ``Topology`` takes for the dict ``ReferenceTopology`` takes."""
+    return [a for a, _ in links], [b for _, b in links], list(links.values())
 
 
 def adjacency_from_edges(n_nodes, edges):
@@ -497,17 +502,6 @@ class ReferenceTopology:
     @property
     def processing_ids(self) -> range:
         return range(self.n_switch, self.n_nodes)
-
-    def kind(self, node_id: int) -> NodeKind:
-        return NodeKind.SWITCH if node_id < self.n_switch else NodeKind.PROCESSING
-
-    def position(self, node_id: int) -> Point3:
-        x, y, z = self._positions[node_id]
-        return Point3(float(x), float(y), float(z))
-
-    def nodes(self) -> Iterator[tuple[int, NodeKind, Point3]]:
-        for i in range(self.n_nodes):
-            yield i, self.kind(i), self.position(i)
 
     def link_items(self) -> Iterator[tuple[tuple[int, int], float]]:
         return iter(self._links.items())

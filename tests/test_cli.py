@@ -103,19 +103,46 @@ def test_config_error_exit_code():
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--n", "5"],
-        ["--s", "5"],
-        ["--alpha", "2.0"],
-        ["--raw-attempt-count"],
-        ["--deletions", "1,2"],  # only robustness reads deletions
-        ["--gnuplot"],  # no --out to put the script next to
+        ("switch-sweep", ["--n", "5"]),
+        ("switch-sweep", ["--s", "5"]),
+        ("switch-sweep", ["--alpha", "2.0"]),
+        ("switch-sweep", ["--raw-attempt-count"]),
+        ("switch-sweep", ["--deletions", "1,2"]),  # only robustness reads deletions
+        ("switch-sweep", ["--gnuplot"]),  # no --out to put the script next to
+        # the static sweeps run no simulation
+        ("scaling", ["--pi", "0.9"]),
+        ("scaling", ["--channels", "1"]),
+        ("alpha-sweep", ["--buffer", "2"]),
+        ("alpha-sweep", ["--ttl", "2"]),
+        ("switch-sweep", ["--steps", "3"]),
+        ("sync", ["--pi", "0.8"]),  # the sync task injects nothing
+        ("robustness", ["--routing", "shortest-path"]),  # robustness and sync wander
     ],
 )
 def test_experiment_rejects_flags_it_would_ignore(capsys, extra):
-    argv = ["experiment", "switch-sweep", "--family", "3DCA", "--seeds-per-point", "1", *extra]
+    experiment, flags = extra
+    argv = ["experiment", experiment, "--family", "3DCA", "--seeds-per-point", "1", *flags]
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ")
+    assert out == "" and err.startswith("error: ") and flags[0] in err
+
+
+def test_sync_rejects_flags_it_would_ignore(capsys):
+    for flag, value in (("--pi", "0.7"), ("--routing", "shortest-path")):
+        assert main(["sync", "--family", "3DRMGlobal", "--steps", "5", flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sync"])
+def test_simulation_seed_must_fit_in_64_bits(tmp_path, capsys, command):
+    topo = tmp_path / "topo.txt"
+    assert main(["generate", "--family", "2DCA", "--n", "9", "--s", "9", "--out", str(topo)]) == 0
+    for seed in ("-1", str(2**64)):
+        assert main([command, "--topology", str(topo), "--steps", "5", "--seed", seed]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must fit in 64 unsigned bits\n"
+    assert main([command, "--topology", str(topo), "--steps", "5", "--seed", str(2**64 - 1)]) == 0
 
 
 def test_sync_experiment_gnuplot_fails_before_running(tmp_path, capsys):

@@ -201,6 +201,9 @@ def test_run_many_rejects_configs_that_differ_beyond_the_seed():
     for other in (replace(config, channels=2), replace(config, ttl=5), replace(config, horizon=4)):
         with pytest.raises(ConfigError):
             simcore.run_many([(topo, config), (topo, other)])
+    for seed in (-1, 2**64):  # a later lane's seed is checked as the first lane's is
+        with pytest.raises(ConfigError, match="seed must fit in 64 unsigned bits"):
+            simcore.run_many([(topo, config), (topo, replace(config, seed=seed))])
     same = simcore.run_many([(topo, config), (topo, replace(config, seed=1))])
     assert same == [simcore.run(topo, config), simcore.run(topo, replace(config, seed=1))]
 

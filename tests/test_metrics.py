@@ -16,13 +16,13 @@ from multitude_sim.metrics import (
     pn_hop_matrix,
     pn_distance_matrix,
 )
-from oracles import dijkstra_distances, edge_list, pn_hops_oracle
+from oracles import dijkstra_distances, edge_list, link_triple, pn_hops_oracle
 
 
 def _shared_switch_topology():
     # one switch, two PNs on 0.01 stubs (only arises in custom configs)
     pos = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
-    return Topology("2DCA", 0, 1, 2, pos, {(0, 1): 0.01, (0, 2): 0.01})
+    return Topology("2DCA", 0, 1, 2, pos, ([0, 0], [1, 2], [0.01, 0.01]))
 
 
 def test_two_pns_on_one_switch_is_one_hop():
@@ -74,13 +74,14 @@ def test_2dca9_path_length_vs_dijkstra_oracle():
 def test_path_length_scales_linearly_with_coordinates():
     topo = build(TopologyConfig("3DRMStandard", 24, 24, seed=8))
     scale = 0.5
+    lo, hi, length = topo.link_arrays()
     scaled = Topology(
         topo.family,
         topo.seed,
         topo.n_switch,
         topo.n_processing,
         topo.positions * scale,
-        {key: ln * scale for key, ln in topo.link_items()},
+        (lo, hi, length * scale),
         alpha=topo.alpha,
         k_s=topo.k_s,
     )
@@ -113,7 +114,7 @@ def _clique_topology(k):
     pos[k] = (0.0, 0.1, 0.0)
     links = {(i, j): float(math.dist(pos[i], pos[j])) for i in range(k) for j in range(i + 1, k)}
     links[(0, k)] = float(math.dist(pos[0], pos[k]))
-    return Topology("3DRMGlobal", 0, k, 1, pos, links, alpha=0.0)
+    return Topology("3DRMGlobal", 0, k, 1, pos, link_triple(links), alpha=0.0)
 
 
 def test_clustering_of_complete_graph_is_one():
@@ -123,9 +124,10 @@ def test_clustering_of_complete_graph_is_one():
 def test_clustering_of_tree_is_zero():
     topo = build(TopologyConfig("2DCA", 4, 4, seed=1))  # 2x2 lattice is a cycle
     # lattice path: chop one link to make a tree
-    links = topo.link_dict()
-    del links[topo.switch_link_pairs()[0]]
-    tree = topo.with_links(links)
+    lo, hi, length = topo.link_arrays()
+    a, b = topo.switch_link_pairs()[0]
+    keep = (lo != a) | (hi != b)
+    tree = topo.with_links((lo[keep], hi[keep], length[keep]))
     assert clustering_coefficient(tree) == 0.0
 
 

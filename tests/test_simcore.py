@@ -95,7 +95,7 @@ def test_same_switch_pair_delivers_in_one_step():
     from multitude_sim import Topology
 
     pos = np.array([[0.5, 0.5, 0.0]] * 3)
-    topo = Topology("2DCA", 0, 1, 2, pos, {(0, 1): 0.01, (0, 2): 0.01})
+    topo = Topology("2DCA", 0, 1, 2, pos, ([0, 0], [1, 2], [0.01, 0.01]))
     sim = Simulation(topo, SimConfig(injection_rate=0.0, seed=0))
     sim.inject(1, 2)
     sim.step()

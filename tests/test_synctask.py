@@ -37,7 +37,7 @@ def test_two_node_pair_averages_to_half():
     # two PNs on one switch with values 0 and 1: the first delivery leaves the
     # receiver at exactly 0.5 and the spread can never grow afterwards
     pos = np.array([[0.5, 0.5, 0.5]] * 3)
-    topo = Topology("3DRMGlobal", 0, 1, 2, pos, {(0, 1): 0.01, (0, 2): 0.01}, alpha=0.0)
+    topo = Topology("3DRMGlobal", 0, 1, 2, pos, ([0, 0], [1, 2], [0.01, 0.01]), alpha=0.0)
     seen = []
 
     def watch(step, freqs, sim):

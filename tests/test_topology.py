@@ -14,7 +14,6 @@ from multitude_sim import (
     ConfigError,
     GenerationError,
     InvariantError,
-    NodeKind,
     Topology,
     TopologyConfig,
     build,
@@ -26,7 +25,7 @@ from multitude_sim import (
     remove_random_links,
     sample_neighbor,
 )
-from oracles import ReferenceTopology, switch_component_count
+from oracles import ReferenceTopology, link_triple, switch_component_count
 
 
 def rng(seed):
@@ -40,7 +39,8 @@ def test_2dca_9_link_counts():
     topo = build_ca(TopologyConfig("2DCA", 9, 9, seed=1))
     assert len(topo.switch_link_pairs()) == 12  # 2 * m * (m-1) for m=3
     assert topo.n_links == 21
-    assert all(topo.link_length(a, b) == 0.01 for (a, b) in topo.link_dict() if b >= 9)
+    lo, hi, _ = topo.link_arrays()
+    assert all(topo.link_length(a, b) == 0.01 for a, b in zip(lo.tolist(), hi.tolist()) if b >= 9)
 
 
 def test_3dca_27_link_counts():
@@ -58,9 +58,9 @@ def test_2dca_degenerate_single_node():
 def test_ca_lattice_geometry():
     topo = build_ca(TopologyConfig("2DCA", 9, 9, seed=0))
     # spacing 1/(m-1) = 0.5, lattice spans the unit square, z pinned to 0
-    xs = sorted({p.x for _, kind, p in topo.nodes() if kind is NodeKind.SWITCH})
+    xs = sorted(set(topo.positions[: topo.n_switch, 0].tolist()))
     assert xs == [0.0, 0.5, 1.0]
-    assert all(p.z == 0.0 for _, _, p in topo.nodes())
+    assert all(z == 0.0 for z in topo.positions[:, 2].tolist())
     for a, b in topo.switch_link_pairs():
         assert topo.link_length(a, b) == pytest.approx(0.5)
 
@@ -129,8 +129,9 @@ def test_rm_invariants_across_families_and_seeds():
             topo = build(TopologyConfig(family, 64, 64, seed=seed))
             topo.validate()
             assert switch_component_count(topo) == 1
+            lo, hi, _ = topo.link_arrays()
             for pn in topo.processing_ids:
-                assert len(topo.neighbors(pn)) == 1
+                assert np.count_nonzero((lo == pn) | (hi == pn)) == 1
 
 
 def test_rm_generation_is_deterministic():
@@ -153,7 +154,8 @@ def test_mean_link_length_decreases_with_alpha():
         lengths = []
         for seed in range(20):
             topo = build(TopologyConfig("3DRMStandard", 64, 64, alpha=alpha, seed=seed))
-            lengths.extend(ln for (a, b), ln in topo.link_items() if b < 64)
+            _, hi, length = topo.link_arrays()
+            lengths.extend(length[hi < 64].tolist())
         means.append(np.mean(lengths))
     assert means[0] > means[1] > means[2] > means[3]
 
@@ -226,7 +228,7 @@ def _two_component_topology():
     pos = np.array(positions, dtype=float)
     links[(0, 8)] = float(math.dist(pos[0], pos[8]))
     links[(4, 9)] = float(math.dist(pos[4], pos[9]))
-    return Topology("3DRMStandard", 0, 8, 2, pos, links, alpha=1.8, k_s=6.0)
+    return Topology("3DRMStandard", 0, 8, 2, pos, link_triple(links), alpha=1.8, k_s=6.0)
 
 
 def test_ensure_connected_bridges_two_components():
@@ -320,8 +322,9 @@ def test_export_import_round_trip(family, seed, deletions):
     assert export_edge_list(again) == text
     assert again.family == topo.family and again.seed == topo.seed
     assert np.array_equal(again.positions, topo.positions)
-    assert again.link_dict() == topo.link_dict()
-    assert [again.neighbors(i) for i in range(again.n_nodes)] == [topo.neighbors(i) for i in range(topo.n_nodes)]
+    assert [a.tobytes() for a in again.link_arrays()] == [a.tobytes() for a in topo.link_arrays()]
+    assert [a.tobytes() for a in again.switch_arcs()] == [a.tobytes() for a in topo.switch_arcs()]
+    assert again.pn_switches().tolist() == topo.pn_switches().tolist()
 
 
 def test_import_rejects_garbage():
@@ -355,7 +358,11 @@ def test_import_rejects_repeated_rows():
 
 
 def test_import_rejects_processing_node_on_two_switches():
-    text = export_edge_list(_pn_on_two_switches())
+    text = (
+        "# multitude-topology v1 family=3DRMStandard seed=0\n"
+        "N 0 S 0.0 0.0 0.0\nN 1 S 0.5 0.0 0.0\nN 2 P 0.2 0.0 0.0\n"
+        "L 0 1 0.5\nL 0 2 0.2\nL 1 2 0.3\n"
+    )
     with pytest.raises(InvariantError, match="processing node 2 "):
         import_edge_list(text)
 
@@ -378,31 +385,25 @@ def test_topology_rejects_self_loops_and_duplicates():
         ({(0, 2): 0.2, (2, 1): 0.3, (1, 2): 0.3, (0, 0): 1.0}, "duplicate link (1, 2)"),
     ]
     for links, message in cases:
-        for cls in (Topology, ReferenceTopology):
+        for cls, form in ((Topology, link_triple(links)), (ReferenceTopology, links)):
             with pytest.raises(InvariantError) as err:
-                cls("3DRMStandard", 0, 2, 1, pos, links)
+                cls("3DRMStandard", 0, 2, 1, pos, form)
             assert str(err.value) == message
     with pytest.raises(InvariantError, match=r"^duplicate link \(0, 1\)$"):
         Topology("3DRMStandard", 0, 2, 1, pos, ([0, 0, 1], [1, 2, 0], [0.5, 0.2, 0.5]))
 
 
-def _pn_on_two_switches():
-    # PN 2 is wired to both switches, so it is not a leaf
-    pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.0, 0.0]])
-    return Topology("3DRMStandard", 0, 2, 1, pos, {(0, 1): 0.5, (0, 2): 0.2, (1, 2): 0.3})
-
-
 def test_pn_switches_reads_attachment_and_rejects_non_leaf():
     topo = build(TopologyConfig("3DRMGlobal", 32, 48, seed=9))
     assert topo.pn_switches().tolist() == [topo.attached_switch(pn) for pn in topo.processing_ids]
+    # PN 2 is wired to both switches, so it is not a leaf: no such Topology exists
+    pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.0, 0.0]])
     with pytest.raises(InvariantError, match="processing node 2 "):
-        _pn_on_two_switches().pn_switches()
-    with pytest.raises(InvariantError, match="processing node 2 "):
-        _pn_on_two_switches().validate()
+        Topology("3DRMStandard", 0, 2, 1, pos, ([0, 0, 1], [1, 2, 2], [0.5, 0.2, 0.3]))
 
 
 def test_validate_flags_wrong_cached_length():
     pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.0, 0.0]])
-    topo = Topology("3DRMStandard", 0, 2, 1, pos, {(0, 1): 0.9, (0, 2): 0.2})
+    topo = Topology("3DRMStandard", 0, 2, 1, pos, ([0, 0], [1, 2], [0.9, 0.2]))
     with pytest.raises(ValueError):
         topo.validate()
