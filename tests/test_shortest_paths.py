@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from multitude_sim import FAMILIES, InvariantError, Topology, TopologyConfig, build, remove_random_links
 from multitude_sim.metrics import pn_distance_matrix, pn_hop_matrix
-from multitude_sim.simcore import compute_routing_tables
+from multitude_sim.simcore import Routing, SimConfig, Simulation, compute_routing_tables
 from oracles import dijkstra_distances, edge_list, next_hop_oracle, pn_hops_oracle
 
 
@@ -93,10 +93,19 @@ def test_matrices_equal_oracles_on_random_faulted_fabrics(family, seed, deletion
     _check_all(_faulted(family, size, size, seed, deletions))
 
 
-def test_non_leaf_processing_node_fails_loudly():
+@pytest.mark.parametrize(
+    "call",
+    [
+        pn_hop_matrix,
+        pn_distance_matrix,
+        compute_routing_tables,
+        lambda topo: Simulation(topo, SimConfig(routing=Routing.RANDOM_WANDERING)),
+    ],
+)
+def test_non_leaf_processing_node_fails_loudly(call):
     # PN 3 hangs off both switches; PN 2 is a proper leaf on switch 0.  The
     # constructor refuses it, so no metric, routing table or Simulation sees it
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     links = ([0, 0, 0, 1], [1, 2, 3, 3], [1.0, 0.01, 1.0, 0.01])
     with pytest.raises(InvariantError, match="processing node 3 "):
-        Topology("2DCA", 0, 2, 2, pos, links)
+        call(Topology("2DCA", 0, 2, 2, pos, links))
