@@ -3,12 +3,13 @@
 Paths are always evaluated between processing-node pairs.  The hop count of a
 path is the number of switch nodes on it, so two processing nodes sharing a
 switch are 1 hop apart and lattice neighbors are (Manhattan distance + 1)
-apart.  PNs are degree-1 leaves, so hops, path lengths and simcore's routing
-tables all come from one relaxation kernel, ``_relax``, over the switch arcs
-that the Topology builds once (``Topology.switch_arcs``); clustering and the
-degree histogram read the same arcs.  Path lengths seed the kernel with stub
-lengths, which keeps the left fold ``stub_i + l_1 + ... + stub_j`` of a
-Dijkstra from the PN bit for bit.
+apart.  PNs are degree-1 leaves, so every metric reads the switch arcs that
+the Topology builds once (``Topology.switch_arcs``).  Switch hop counts, and
+with them simcore's routing tables, come from a bit-parallel breadth-first
+search from every switch at once (``_switch_hops``); path lengths come from
+one float relaxation kernel, ``_relax``, seeded with stub lengths, which
+keeps the left fold ``stub_i + l_1 + ... + stub_j`` of a Dijkstra from the
+PN bit for bit.  Clustering and the degree histogram read the same arcs.
 """
 
 from __future__ import annotations
@@ -71,18 +72,18 @@ class MetricsReport:
 _BLOCK = 64  # sources relaxed together; bounds the [arcs, block] candidate arrays
 
 
-def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachable) -> np.ndarray:
+def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Vectorised Bellman-Ford over (tail, head, weight) arcs, ``_BLOCK`` sources at a time.
 
-    Column k of the [n_switch, len(seeds)] result starts at ``values[k]`` on
-    switch ``seeds[k]``; ``unreachable`` must exceed every real distance.  A
-    round relaxes only the arcs leaving switches improved in the round before.
+    Column k of the float [n_switch, len(seeds)] result starts at ``values[k]``
+    on switch ``seeds[k]`` and is inf where unreachable.  A round relaxes only
+    the arcs leaving switches improved in the round before.
     """
     tail, head, weight = arcs
-    out = np.empty((n_switch, len(seeds)), dtype=values.dtype)
+    out = np.empty((n_switch, len(seeds)))
     for lo in range(0, len(seeds), _BLOCK):
         frontier = seeds[lo : lo + _BLOCK]
-        dist = np.full((n_switch, len(frontier)), unreachable, dtype=values.dtype)
+        dist = np.full((n_switch, len(frontier)), np.inf)
         dist[frontier, np.arange(len(frontier))] = values[lo : lo + _BLOCK]
         while len(live := np.flatnonzero(np.isin(tail, frontier))):
             targets = head[live]
@@ -99,14 +100,36 @@ def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachab
 def _switch_hops(topology: Topology) -> np.ndarray:
     """[S, S] int32 switch-to-switch link counts, S where unreachable; read-only.
 
+    A level-synchronous breadth-first search from all S switches at once:
+    bit u of row v of the packed reach sets says that the search from
+    switch u has reached switch v.  A level ORs together the frontier rows
+    of each switch's neighbours (one ``bitwise_or.reduceat`` over the arcs
+    grouped by head) and keeps the bits not seen before, which are unpacked
+    to write the level.
     Computed once per topology and kept on it: a Topology never changes its
-    links, so the hop metrics and simcore's routing tables share one run.
+    links, so the hop metrics and simcore's routing tables share one search.
     """
     if topology._switch_hops is None:
         s_count = topology.n_switch
         tail, head, _ = topology.switch_arcs()
-        unit = (tail, head, np.ones(len(tail), dtype=np.int32))
-        hops = _relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
+        hops = np.full((s_count, s_count), s_count, dtype=np.int32)
+        np.fill_diagonal(hops, 0)
+        ids = np.arange(s_count)
+        # little-endian words, so the byte view unpacks bit u of a row at column u
+        seen = np.zeros((s_count, (s_count + 63) // 64), dtype="<u8")
+        seen[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+        frontier = seen.copy()
+        starts = np.flatnonzero(np.diff(head, prepend=-1))
+        reached = head[starts]
+        level = 0
+        while len(tail) and frontier.any():
+            level += 1
+            new = np.bitwise_or.reduceat(frontier[tail], starts, axis=0) & ~seen[reached]
+            frontier = np.zeros_like(seen)
+            frontier[reached] = new
+            seen |= frontier
+            bits = np.unpackbits(frontier.view(np.uint8), axis=1, count=s_count, bitorder="little")
+            np.copyto(hops, level, where=bits.view(bool))
         hops.setflags(write=False)
         topology._switch_hops = hops
     return topology._switch_hops
@@ -154,7 +177,7 @@ def pn_distance_matrix(topology: Topology) -> np.ndarray:
     stub = hi >= s_count  # every PN is a leaf, so these are its links, one each
     stubs = np.empty(topology.n_processing)
     stubs[hi[stub] - s_count] = length[stub]
-    dist = _relax(topology.switch_arcs(), s_count, pn_switch, stubs, np.inf)[pn_switch].T + stubs
+    dist = _relax(topology.switch_arcs(), s_count, pn_switch, stubs)[pn_switch].T + stubs
     np.fill_diagonal(dist, 0.0)
     return dist
 

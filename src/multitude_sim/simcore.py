@@ -4,7 +4,8 @@ Each step runs three phases:
 
 1. injection -- every processing node independently creates a message to a
    uniformly random other processing node with probability p_I and enqueues
-   it at its attached switch (counting a buffer drop if the FIFO is full);
+   it at its attached switch (counting a buffer drop if the FIFO is full),
+   in message-id order;
 2. forwarding -- every switch dequeues up to C messages; each is delivered
    if its destination hangs off this switch, otherwise sent toward the next
    hop (shortest-path table or a uniformly random switch neighbor) into a
@@ -15,9 +16,10 @@ Each step runs three phases:
 
 The stage/commit split means a message crosses at most one switch link per
 step and the outcome does not depend on the order switches are visited.
-Phases 2 and 3 are one fixed sequence of whole-array operations over
-structure-of-arrays message state (see ``Simulation``); only injection goes
-message by message, through ``Simulation.inject``.
+Each phase is one fixed sequence of whole-array operations over
+structure-of-arrays message state (see ``Simulation``): a step's new
+messages enter as one batch.  ``Simulation.inject`` is the one-message path
+for callers that create their own traffic, such as the sync task.
 Everything is driven by one seeded generator consumed in fixed id order, so
 a (topology, config) pair always produces identical statistics.  Runs that
 differ only in topology and seed can share one simulation as lanes over
@@ -166,7 +168,7 @@ class SimStats:
 def compute_routing_tables(topology: Topology) -> np.ndarray:
     """Next-hop table: entry [switch, pn_index] is the neighbor switch id.
 
-    From the switch hop matrix (``metrics`` relaxation kernel) a switch picks
+    From the switch hop matrix (``metrics._switch_hops``) a switch picks
     its lowest-id neighbor one hop closer to the destination PN's switch,
     reading the topology's switch arcs.
     LOCAL marks the destination's own switch, UNREACHABLE a missing path
@@ -258,13 +260,17 @@ class Simulation:
     not with the ids issued.  Switch s's FIFO is row s of the flat
     ``[S, width]`` ring of pool columns: ``_occ[s]`` entries from column
     ``_head[s]``, wrapping at ``width`` (a power of two, doubled when a
-    buffer needs more).  ``Message`` records are built from pool
-    columns only when they are read: ``delivered_this_step`` keeps a copy of
-    the delivered columns and builds its records on first access;
-    ``dropped_this_step``, ``buffers`` and ``iter_in_flight()`` build theirs
-    when they are filled or read.  Each step's delivered columns also go to
-    a log that is folded into the per-lane delivery sums now and then, so a
-    step pays no per-lane arithmetic for its deliveries.
+    buffer needs more).  A step's new messages enter as one batch
+    (``_inject_batch``) and its staged messages are committed as one batch;
+    both are placed by ``_enqueue``.  ``inject`` enters a single message by
+    the same rules.  ``Message`` records are built from pool columns only
+    when they are read: ``delivered_this_step`` keeps a copy of the
+    delivered columns and builds its records on first access;
+    ``dropped_this_step`` (entry drops first, in id order), ``buffers`` and
+    ``iter_in_flight()`` build theirs when they are filled or read.  Each
+    step's delivered columns also go to a log that is folded into the
+    per-lane delivery sums now and then, so a step pays no per-lane
+    arithmetic for its deliveries.
     """
 
     def __init__(self, topology: Topology, config: SimConfig):
@@ -297,7 +303,7 @@ class Simulation:
         self._lane_bounds = [(lo, lo + n) for lo, n in zip(starts, sizes)]
         self._lane_of = np.repeat(np.arange(len(topologies)), sizes)
         self._switch_lane = self._lane_of.tolist()
-        self._pn_switch = union.pn_switches().tolist()
+        self._pn_switch = union.pn_switches()
 
         # wandering takes neighbour int(draw * degree) of the switch's ascending
         # list; an isolated switch lists itself, so its messages stay put
@@ -330,8 +336,8 @@ class Simulation:
         self._occ = np.zeros(s_count, dtype=np.intp)
         self._head = np.zeros(s_count, dtype=np.intp)
         self._set_width(1 << (min(config.buffer_capacity, _RING_WIDTH) - 1).bit_length())
-        # a step serves at most min(C, M) messages per switch
-        self._iota = np.arange(s_count * min(config.channels, config.buffer_capacity))
+        # a step serves at most min(C, M) messages per switch and enters at most one per PN
+        self._iota = np.arange(max(s_count * min(config.channels, config.buffer_capacity), n_count))
         self._pool = np.zeros((7, 0), dtype=np.int64)
         self._free = np.zeros(0, dtype=np.intp)
         self._top = 0
@@ -343,9 +349,8 @@ class Simulation:
         self.step_index = 0
         self._next_msg_id = 0
 
-        # per-lane counters: injected is bumped per message, the others by array
         n_lanes = len(topologies)
-        self._injected = [0] * n_lanes
+        self._injected = np.zeros(n_lanes, dtype=np.int64)
         self._unreachable = np.zeros(n_lanes, dtype=np.int64)
         self._dropped_ttl = np.zeros(n_lanes, dtype=np.int64)
         self._dropped_buffer = np.zeros(n_lanes, dtype=np.int64)
@@ -366,7 +371,7 @@ class Simulation:
 
     @property
     def injected(self) -> int:
-        return sum(self._injected)
+        return int(self._injected.sum())
 
     @property
     def delivered(self) -> int:
@@ -425,7 +430,7 @@ class Simulation:
         delivered = self._delivered.item(lane)
         horizon = self.config.horizon
         return SimStats(
-            injected=self._injected[lane],
+            injected=self._injected.item(lane),
             delivered=delivered,
             dropped_ttl=self._dropped_ttl.item(lane),
             dropped_buffer=self._dropped_buffer.item(lane),
@@ -539,8 +544,8 @@ class Simulation:
             raise ValueError("src and dst must be processing-node ids")
         if src == dst:
             raise ValueError("a message needs distinct src and dst")
-        switch = self._pn_switch[src - s_count]
-        target = self._pn_switch[dst - s_count]
+        switch = self._pn_switch.item(src - s_count)
+        target = self._pn_switch.item(dst - s_count)
         lane = self._switch_lane[switch]
         if self._switch_lane[target] != lane:
             raise ValueError("src and dst must lie in the same lane")
@@ -581,20 +586,73 @@ class Simulation:
         self._delivered_records = []
         self.dropped_this_step = []
 
-        # phase 1: traffic injection, lane by lane from each lane's generator
         rate = self.config.injection_rate if inject else 0.0
         if rate > 0.0:
-            for rng, first_pn, n_count in self._sources:
-                coins = rng.random(n_count)
-                injectors = np.nonzero(coins < rate)[0]
-                if len(injectors):
-                    picks = rng.integers(0, n_count - 1, size=len(injectors))
-                    for src_idx, pick in zip(injectors.tolist(), picks.tolist()):
-                        dst_idx = pick + 1 if pick >= src_idx else pick
-                        self.inject(first_pn + src_idx, first_pn + dst_idx)
-
+            self._inject_batch(rate)
         if self._in_flight and self.config.channels:
             self._forward_and_commit()
+
+    def _inject_batch(self, rate: float) -> None:
+        """Phase 1: each lane's new messages, drawn from its own generator,
+        enter as one batch with the outcome of ``inject`` called per message.
+
+        Ids run in (lane, source PN) order.  A reachable message enters while
+        its rank among the step's reachable entries at its source switch, in
+        id order, is below the room left in that switch's buffer.
+        """
+        srcs, dsts = [], []
+        for rng, first_pn, n_count in self._sources:
+            src = np.flatnonzero(rng.random(n_count) < rate)
+            if len(src):
+                pick = rng.integers(0, n_count - 1, size=len(src))
+                srcs.append(src + first_pn)
+                dsts.append(pick + (pick >= src) + first_pn)
+        if not srcs:
+            return
+        src, dst = np.concatenate(srcs), np.concatenate(dsts)
+        ids = np.arange(self._next_msg_id, self._next_msg_id + len(src))
+        self._next_msg_id += len(src)
+        sw = self._pn_switch[src - self._s_count]
+        lane = self._lane_of[sw]
+        self._injected += np.bincount(lane, minlength=len(self._injected))
+        if self.routing_table is not None:
+            lost = self._next_hop[self._route_row[sw] + dst] == UNREACHABLE
+            if np.count_nonzero(lost):
+                np.add.at(self._unreachable, lane[lost], 1)
+                kept = ~lost
+                src, dst, sw, lane, ids = src[kept], dst[kept], sw[kept], lane[kept], ids[kept]
+        order = sw.argsort(kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = self._iota[: len(sw)] - sw[order].searchsorted(sw[order])
+        tail = self._occ[sw] + rank
+        enter = tail < self.config.buffer_capacity
+        if np.count_nonzero(enter) < len(enter):
+            full = ~enter
+            np.add.at(self._dropped_buffer, lane[full], 1)
+            self.dropped_this_step = [
+                Message(i, s, d, self.step_index)
+                for i, s, d in zip(ids[full].tolist(), src[full].tolist(), dst[full].tolist())
+            ]
+            src, dst, sw, ids, tail = src[enter], dst[enter], sw[enter], ids[enter], tail[enter]
+        if not len(sw):
+            return
+        # columns come off the free stack in id order, as one inject call per message takes them
+        need = len(sw)
+        if need > self._top:
+            old = self._pool.shape[1]
+            size = 2 * old
+            while self._top + size - old < need:
+                size *= 2
+            self._grow_pool(size)
+        slots = self._free[self._top - need : self._top][::-1]
+        self._top -= need
+        self._in_flight += need
+        entered = np.empty((7, need), dtype=np.int64)
+        entered[_ID], entered[_SRC], entered[_DST] = ids, src, dst
+        entered[_BORN], entered[_HOPS], entered[_PAYLOAD] = self.step_index, 1, _NO_PAYLOAD
+        entered[_DSW] = self._pn_switch[dst - self._s_count]
+        self._pool[:, slots] = entered
+        self._enqueue(slots, sw, tail)
 
     def _forward_and_commit(self) -> None:
         """Phases 2 and 3 as whole-array operations, in the per-message order.
@@ -673,13 +731,17 @@ class Simulation:
             dropped = dropped[self._id[dropped].argsort()]
             self.dropped_this_step += _records(self._pool.take(dropped, axis=1))
             self._release(dropped)
-        if not len(slots):
-            return
+        if len(slots):
+            self._enqueue(slots, dest, tail)
+
+    def _enqueue(self, slots: np.ndarray, dest: np.ndarray, tail: np.ndarray) -> None:
+        """Put pool columns ``slots`` at FIFO positions ``tail`` of switches
+        ``dest`` (past their occupancy), widening the ring if a buffer needs it."""
         top = int(tail.max()) + 1
         if top > self._width:
             self._widen(top)
-        self._ring[self._base[dest] + ((head[dest] + tail) & self._mask)] = slots
-        occ += np.bincount(dest, minlength=self._s_count)
+        self._ring[self._base[dest] + ((self._head[dest] + tail) & self._mask)] = slots
+        self._occ += np.bincount(dest, minlength=self._s_count)
         if top > self._peak_floor:
             tops = np.zeros_like(self._peaks)
             np.maximum.at(tops, self._lane_of[dest], tail + 1)

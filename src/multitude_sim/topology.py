@@ -508,6 +508,17 @@ def _first_repeat(rows: np.ndarray) -> int:
     return int(later.min()) if len(later) else -1
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[len(a), len(b)] squared distances between rows, added x, y, z from the
+    left as a ``sum`` over the coordinate axis does, one axis at a time."""
+    out = np.zeros((len(a), len(b)))
+    for k in range(3):
+        d = a[:, None, k] - b[None, :, k]
+        d *= d
+        out += d
+    return out
+
+
 def build_random_multitude(config: TopologyConfig) -> Topology:
     """Scatter nodes in the unit cube and wire switches by l^(-alpha) sampling.
 
@@ -534,14 +545,14 @@ def build_random_multitude(config: TopologyConfig) -> Topology:
     positions = np.vstack([sw_pos, pn_pos])
 
     # each processing node attaches to its nearest switch
-    d2 = ((pn_pos[:, None, :] - sw_pos[None, :, :]) ** 2).sum(axis=2)
+    d2 = _squared_distances(pn_pos, sw_pos)
     nearest = d2.argmin(axis=1)
 
     src_ids: list[int] = []
     dst_ids: list[int] = []
     lengths: list[float] = []
     if s > 1:
-        dist = np.sqrt(((sw_pos[:, None, :] - sw_pos[None, :, :]) ** 2).sum(axis=2))
+        dist = np.sqrt(_squared_distances(sw_pos, sw_pos))
         # row src weighs the other switches in id order: candidate idx is switch idx + (idx >= src)
         cdf = list(_cumulative_weights(dist[~np.eye(s, dtype=bool)].reshape(s, s - 1), alpha))
 

@@ -15,6 +15,9 @@ components.  ``_switch_arcs`` and ``_lane_routing_tables`` are the switch-arc
 builder that ``metrics`` ran on every call and the per-lane routing tables
 that ``Simulation`` stitched together, before the switch arcs were built once
 in the ``Topology`` constructor and lanes were read from their union.
+``reference_switch_hops`` is ``metrics._switch_hops`` as it was before the
+bit-parallel breadth-first search: the Bellman-Ford relaxation kernel run
+with unit weights, 64 sources at a time.
 """
 
 import heapq
@@ -25,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from multitude_sim.metrics import _BLOCK
 from multitude_sim.simcore import (
     DRAIN_CAP_FACTOR,
     UNREACHABLE,
@@ -177,6 +181,41 @@ def _switch_arcs(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray
     tail, head = np.concatenate([lo, hi]), np.concatenate([hi, lo])
     order = np.lexsort((tail, head))
     return tail[order], head[order], np.concatenate([length, length])[order]
+
+
+def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachable) -> np.ndarray:
+    """Vectorised Bellman-Ford over (tail, head, weight) arcs, ``_BLOCK`` sources at a time.
+
+    Column k of the [n_switch, len(seeds)] result starts at ``values[k]`` on
+    switch ``seeds[k]``; ``unreachable`` must exceed every real distance.  A
+    round relaxes only the arcs leaving switches improved in the round before.
+    """
+    tail, head, weight = arcs
+    out = np.empty((n_switch, len(seeds)), dtype=values.dtype)
+    for lo in range(0, len(seeds), _BLOCK):
+        frontier = seeds[lo : lo + _BLOCK]
+        dist = np.full((n_switch, len(frontier)), unreachable, dtype=values.dtype)
+        dist[frontier, np.arange(len(frontier))] = values[lo : lo + _BLOCK]
+        while len(live := np.flatnonzero(np.isin(tail, frontier))):
+            targets = head[live]
+            starts = np.flatnonzero(np.diff(targets, prepend=-1))
+            best = np.minimum.reduceat(dist[tail[live]] + weight[live, None], starts, axis=0)
+            targets = targets[starts]
+            current = dist[targets]
+            dist[targets] = np.minimum(best, current)
+            frontier = targets[(best < current).any(axis=1)]
+        out[:, lo : lo + _BLOCK] = dist
+    return out
+
+
+def reference_switch_hops(topology: Topology) -> np.ndarray:
+    """[S, S] int32 switch-to-switch link counts, S where unreachable; read-only."""
+    s_count = topology.n_switch
+    tail, head, _ = topology.switch_arcs()
+    unit = (tail, head, np.ones(len(tail), dtype=np.int32))
+    hops = _relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
+    hops.setflags(write=False)
+    return hops
 
 
 def _lane_routing_tables(topologies: list[Topology], starts: list[int]) -> np.ndarray:

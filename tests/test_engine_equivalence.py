@@ -72,17 +72,21 @@ def snapshot(sim):
 
 
 def step_side_by_side(topo, config, drain_steps):
+    """Step both engines, comparing every step; returns the array engine and
+    how many messages it dropped on entry (records of 0 hops)."""
     engines = Simulation(topo, config), ReferenceSimulation(topo, config)
+    entry_drops = 0
     for step in range(config.horizon + drain_steps):
         for sim in engines:
             sim.step(inject=step < config.horizon)
         new, ref = map(snapshot, engines)
         assert new == ref, f"step {step + 1}"
+        entry_drops += sum(m.hops_taken == 0 for m in engines[0].dropped_this_step)
     new, ref = engines
     assert records(new.iter_in_flight()) == records(ref.iter_in_flight())
     assert [records(buf) for buf in new.buffers] == [records(buf) for buf in ref.buffers]
     assert new.stats() == ref.stats()
-    return new
+    return new, entry_drops
 
 
 @settings(max_examples=80, deadline=None)
@@ -107,8 +111,31 @@ def test_ring_widening_matches_reference_engine():
     # into a switch that serves one message a step
     topo = make_topology("3DRMStandard", 1, 0)
     config = SimConfig(injection_rate=1.0, channels=1, buffer_capacity=300, horizon=220, seed=4)
-    sim = step_side_by_side(topo, config, drain_steps=10)
+    sim, _ = step_side_by_side(topo, config, drain_steps=10)
     assert sim.max_buffer_occupancy > simcore._RING_WIDTH
+
+
+@pytest.mark.parametrize("buffer_capacity", [1, 2, 3])
+def test_batched_entry_drops_match_reference_engine(buffer_capacity):
+    # every PN injects every step into buffers that hold 1-3 messages and serve
+    # one; 60 faults on 2DCA leave destinations with no path from the source
+    topo = make_topology("2DCA", 1, 60)
+    config = SimConfig(
+        injection_rate=1.0, channels=1, buffer_capacity=buffer_capacity, horizon=25, seed=7
+    )
+    sim, entry_drops = step_side_by_side(topo, config, drain_steps=5)
+    assert entry_drops > 0 and sim.unreachable_dropped > 0
+
+
+def test_run_many_batched_entry_matches_reference_runs():
+    # shortest-path lanes at full injection, faulted and connected, of three sizes
+    config = SimConfig(injection_rate=1.0, channels=2, buffer_capacity=3, horizon=6)
+    keys = [("2DCA", 1, 60), ("3DRMStandard", 2, 0), ("2DCA", 3, 40), ("3DCA", 0, 0)]
+    jobs = [(make_topology(*key), replace(config, seed=seed)) for seed, key in enumerate(keys)]
+    results = simcore.run_many(jobs)
+    assert results == [reference_run(topo, cfg) for topo, cfg in jobs]
+    assert results[0].unreachable_dropped and results[2].unreachable_dropped
+    assert all(stats.dropped_buffer for stats in results)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multitude_sim import FAMILIES, InvariantError, Topology, TopologyConfig, build, remove_random_links
-from multitude_sim.metrics import pn_distance_matrix, pn_hop_matrix
+from multitude_sim.metrics import _switch_hops, pn_distance_matrix, pn_hop_matrix
 from multitude_sim.simcore import Routing, SimConfig, Simulation, compute_routing_tables
-from oracles import dijkstra_distances, edge_list, next_hop_oracle, pn_hops_oracle
+from oracles import (
+    dijkstra_distances,
+    edge_list,
+    next_hop_oracle,
+    pn_hops_oracle,
+    reference_switch_hops,
+    switch_component_count,
+)
 
 
 def _one_switch():
@@ -109,3 +116,31 @@ def test_non_leaf_processing_node_fails_loudly(call):
     links = ([0, 0, 0, 1], [1, 2, 3, 3], [1.0, 0.01, 1.0, 0.01])
     with pytest.raises(InvariantError, match="processing node 3 "):
         call(Topology("2DCA", 0, 2, 2, pos, links))
+
+
+def _assert_switch_hops_match_reference(topo):
+    got = _switch_hops(topo)
+    assert got.dtype == np.int32
+    assert not got.flags.writeable
+    _assert_exact(got, reference_switch_hops(topo))
+    return got
+
+
+@pytest.mark.parametrize("s", [63, 64, 65, 128, 129])
+def test_switch_hops_across_word_boundaries(s):
+    # the search packs 64 sources per word; N != S keeps PN and switch counts apart
+    topo = build(TopologyConfig("3DRMStandard", 40, s, seed=s))
+    hops = _assert_switch_hops_match_reference(topo)
+    assert hops.shape == (s, s) and not (hops == s).any()
+
+
+def test_switch_hops_on_a_faulted_fabric_use_the_unreachable_sentinel():
+    topo = _faulted("2DCA", 64, 64, 0, 80)
+    assert (topo.switch_degrees() == 0).sum() >= 2 and switch_component_count(topo) >= 3
+    hops = _assert_switch_hops_match_reference(topo)
+    assert (hops == topo.n_switch).any()
+
+
+@pytest.mark.parametrize("family", ["3DCA", "3DRMStandard"])
+def test_switch_hops_on_512_switch_fabrics(family):
+    _assert_switch_hops_match_reference(build(TopologyConfig(family, 512, 512, seed=5)))
