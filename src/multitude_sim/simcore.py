@@ -18,8 +18,9 @@ The stage/commit split means a message crosses at most one switch link per
 step and the outcome does not depend on the order switches are visited.
 Each phase is one fixed sequence of whole-array operations over
 structure-of-arrays message state (see ``Simulation``): a step's new
-messages enter as one batch.  ``Simulation.inject`` is the one-message path
-for callers that create their own traffic, such as the sync task.
+messages enter as one batch, through the entry routine that
+``Simulation.inject`` also uses for callers that create their own traffic,
+such as the sync task.
 Everything is driven by one seeded generator consumed in fixed id order, so
 a (topology, config) pair always produces identical statistics.  Runs that
 differ only in topology and seed can share one simulation as lanes over
@@ -35,6 +36,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .metrics import _BLOCK, _switch_hops
 from .topology import ConfigError, Topology
@@ -260,14 +262,15 @@ class Simulation:
     not with the ids issued.  Switch s's FIFO is row s of the flat
     ``[S, width]`` ring of pool columns: ``_occ[s]`` entries from column
     ``_head[s]``, wrapping at ``width`` (a power of two, doubled when a
-    buffer needs more).  A step's new messages enter as one batch
-    (``_inject_batch``) and its staged messages are committed as one batch;
-    both are placed by ``_enqueue``.  ``inject`` enters a single message by
-    the same rules.  ``Message`` records are built from pool columns only
-    when they are read: ``delivered_this_step`` keeps a copy of the
-    delivered columns and builds its records on first access;
-    ``dropped_this_step`` (entry drops first, in id order), ``buffers`` and
-    ``iter_in_flight()`` build theirs when they are filled or read.  Each
+    buffer needs more).  New messages, a step's drawn batch
+    (``_inject_batch``) or a caller's (``inject``), enter through one
+    routine, ``_enter``; a step's staged messages are committed as one
+    batch, and both are placed by ``_enqueue``.  ``Message`` records are
+    built from pool columns (``_records``) only when they are read:
+    ``delivered_this_step`` keeps a copy of the delivered columns and
+    builds its records on first access; ``dropped_this_step`` (a step's
+    entry drops first, in id order), ``buffers`` and ``iter_in_flight()``
+    build theirs when they are filled or read.  Each
     step's delivered columns also go to a log that is folded into the
     per-lane delivery sums now and then, so a step pays no per-lane
     arithmetic for its deliveries.
@@ -295,14 +298,12 @@ class Simulation:
         sizes = [t.n_switch for t in topologies]
         s_count, n_count = union.n_switch, union.n_processing
         self._s_count = s_count
-        self._n_nodes = union.n_nodes
         self._switches = np.arange(s_count)
         # lane k's switches come after those of lanes 0..k-1, and so do its PNs after all switches
         self._lane_start = np.cumsum([0] + sizes[:-1], dtype=np.intp)
         starts = self._lane_start.tolist()
         self._lane_bounds = [(lo, lo + n) for lo, n in zip(starts, sizes)]
         self._lane_of = np.repeat(np.arange(len(topologies)), sizes)
-        self._switch_lane = self._lane_of.tolist()
         self._pn_switch = union.pn_switches()
 
         # wandering takes neighbour int(draw * degree) of the switch's ascending
@@ -481,10 +482,13 @@ class Simulation:
         """Pool columns and switches of each switch's first ``counts[s]`` messages,
         in (switch, FIFO) order."""
         sw = self._switches.repeat(counts)
-        n = len(sw)
-        rank = self._iota[:n] if n <= len(self._iota) else np.arange(n)
+        rank = self._arange(len(sw))
         first = self._head - (counts.cumsum() - counts)  # head less the switch's offset in sw
         return self._ring[self._base[sw] + ((first[sw] + rank) & self._mask)], sw
+
+    def _arange(self, n: int) -> np.ndarray:
+        """``np.arange(n)``, sliced from the preallocated ``_iota`` when it is long enough."""
+        return self._iota[:n] if n <= len(self._iota) else np.arange(n)
 
     def _widen(self, need: int) -> None:
         """Double the ring until a switch holds ``need`` messages; FIFOs restart at column 0."""
@@ -504,8 +508,7 @@ class Simulation:
         pool = np.zeros((7, size), dtype=np.int64)
         pool[:, :old] = self._pool
         self._pool = pool
-        self._id, _, self._dst, _, self._hops, self._dsw, payload = pool
-        self._payload = payload.view(np.float64)
+        self._id, _, self._dst, _, self._hops, self._dsw, _ = pool
         free = np.zeros(size, dtype=np.intp)
         free[: self._top] = self._free[: self._top]
         free[self._top : self._top + size - old] = np.arange(size - 1, old - 1, -1)
@@ -530,54 +533,88 @@ class Simulation:
 
     # -- message entry ---------------------------------------------------------
 
-    def inject(self, src: int, dst: int, payload: float | None = None) -> Message | None:
-        """Create a message at src's switch; returns None if it is dropped on entry.
+    def inject(self, src: ArrayLike, dst: ArrayLike, payload: ArrayLike | None = None) -> int:
+        """Create messages from processing nodes ``src`` to ``dst``; returns
+        how many were buffered.
 
-        Entering the attached switch is the stub traversal, so a freshly
-        buffered message already counts 1 hop.  Under shortest-path routing a
-        destination with no path is discarded immediately (counted as
-        unreachable, not as a buffer drop).  The returned record is the
-        message as it entered; later records of it are built afresh.
+        ``src``, ``dst`` and ``payload`` are scalars or equal-length arrays.
+        The messages take the next ids in array order, and each has the
+        outcome it would have if they entered one at a time in that order
+        (see ``_enter``).  Entering the attached switch is the stub traversal, so a freshly buffered message
+        already counts 1 hop.  Under shortest-path routing a destination with
+        no path is discarded immediately (counted as unreachable, not as a
+        buffer drop).
         """
-        s_count = self._s_count
-        if not (s_count <= src < self._n_nodes) or not (s_count <= dst < self._n_nodes):
+        src = np.asarray(src, dtype=np.int64).reshape(-1)
+        dst = np.asarray(dst, dtype=np.int64).reshape(-1)
+        if src.shape != dst.shape:
+            raise ValueError("src and dst must have the same length")
+        pns = np.concatenate([src, dst]) - self._s_count
+        if np.any((pns < 0) | (pns >= len(self._pn_switch))):
             raise ValueError("src and dst must be processing-node ids")
-        if src == dst:
+        if np.any(src == dst):
             raise ValueError("a message needs distinct src and dst")
-        switch = self._pn_switch.item(src - s_count)
-        target = self._pn_switch.item(dst - s_count)
-        lane = self._switch_lane[switch]
-        if self._switch_lane[target] != lane:
+        lanes = self._lane_of[self._pn_switch[pns]]
+        if np.any(lanes[: len(src)] != lanes[len(src) :]):
             raise ValueError("src and dst must lie in the same lane")
-        msg_id = self._next_msg_id
-        self._next_msg_id += 1
-        self._injected[lane] += 1
-        if (
-            self.routing_table is not None
-            and self.routing_table[switch, dst - s_count] == UNREACHABLE
-        ):
-            self._unreachable[lane] += 1
-            return None
-        occ = self._occ.item(switch)
-        if occ >= self.config.buffer_capacity:
-            self._dropped_buffer[lane] += 1
-            self.dropped_this_step.append(Message(msg_id, src, dst, self.step_index, payload=payload))
-            return None
-        if occ == self._width:
-            self._widen(occ + 1)
-        if not self._top:
-            self._grow_pool(2 * self._pool.shape[1])
-        self._top -= 1
-        slot = self._free.item(self._top)
-        self._pool[:, slot] = (msg_id, src, dst, self.step_index, 1, target, _NO_PAYLOAD)
         if payload is not None:
-            self._payload[slot] = payload
-        self._ring[switch * self._width + ((self._head.item(switch) + occ) & self._mask)] = slot
-        self._occ[switch] = occ + 1
-        self._in_flight += 1
-        if occ >= self._peaks.item(lane):
-            self._peaks[lane] = occ + 1
-        return Message(msg_id, src, dst, self.step_index, 1, payload)
+            payload = np.broadcast_to(np.asarray(payload, dtype=np.float64), src.shape).view(np.int64)
+        return self._enter(src, dst, _NO_PAYLOAD if payload is None else payload)
+
+    def _enter(self, src: np.ndarray, dst: np.ndarray, payload: np.ndarray | int) -> int:
+        """Enter messages ``src[i] -> dst[i]`` (processing-node ids, payload
+        bits) with the next ids, in array order; returns how many were buffered.
+
+        A reachable message enters while its rank among the reachable entries
+        at its source switch, in id order, is below the room left in that
+        switch's buffer.  Entry drops are appended to ``dropped_this_step`` in
+        id order, with 0 hops.  The ring widens at most once and the pool
+        grows at most once.
+        """
+        count = len(src)
+        s_count = self._s_count
+        sw = self._pn_switch[src - s_count]
+        lane = self._lane_of[sw]
+        self._injected += np.bincount(lane, minlength=len(self._injected))
+        rows = np.empty((7, count), dtype=np.int64)
+        rows[_ID] = np.arange(self._next_msg_id, self._next_msg_id + count)
+        self._next_msg_id += count
+        rows[_SRC], rows[_DST], rows[_BORN], rows[_HOPS] = src, dst, self.step_index, 1
+        rows[_DSW], rows[_PAYLOAD] = self._pn_switch[dst - s_count], payload
+        if self.routing_table is not None:
+            lost = self._next_hop[self._route_row[sw] + dst] == UNREACHABLE
+            if np.count_nonzero(lost):
+                np.add.at(self._unreachable, lane[lost], 1)
+                kept = ~lost
+                rows, sw, lane = rows[:, kept], sw[kept], lane[kept]
+        order = sw.argsort(kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = self._arange(len(sw)) - sw[order].searchsorted(sw[order])
+        tail = self._occ[sw] + rank
+        enter = tail < self.config.buffer_capacity
+        if np.count_nonzero(enter) < len(enter):
+            full = ~enter
+            np.add.at(self._dropped_buffer, lane[full], 1)
+            dropped = rows[:, full]
+            dropped[_HOPS] = 0
+            self.dropped_this_step += _records(dropped)
+            rows, sw, tail = rows[:, enter], sw[enter], tail[enter]
+        need = len(sw)
+        if not need:
+            return 0
+        # columns come off the free stack in id order, as one message at a time takes them
+        if need > self._top:
+            old = self._pool.shape[1]
+            size = 2 * old
+            while self._top + size - old < need:
+                size *= 2
+            self._grow_pool(size)
+        slots = self._free[self._top - need : self._top][::-1]
+        self._top -= need
+        self._in_flight += need
+        self._pool[:, slots] = rows
+        self._enqueue(slots, sw, tail)
+        return need
 
     # -- the synchronous update -------------------------------------------------
 
@@ -594,12 +631,7 @@ class Simulation:
 
     def _inject_batch(self, rate: float) -> None:
         """Phase 1: each lane's new messages, drawn from its own generator,
-        enter as one batch with the outcome of ``inject`` called per message.
-
-        Ids run in (lane, source PN) order.  A reachable message enters while
-        its rank among the step's reachable entries at its source switch, in
-        id order, is below the room left in that switch's buffer.
-        """
+        enter through ``_enter`` with ids in (lane, source PN) order."""
         srcs, dsts = [], []
         for rng, first_pn, n_count in self._sources:
             src = np.flatnonzero(rng.random(n_count) < rate)
@@ -607,52 +639,8 @@ class Simulation:
                 pick = rng.integers(0, n_count - 1, size=len(src))
                 srcs.append(src + first_pn)
                 dsts.append(pick + (pick >= src) + first_pn)
-        if not srcs:
-            return
-        src, dst = np.concatenate(srcs), np.concatenate(dsts)
-        ids = np.arange(self._next_msg_id, self._next_msg_id + len(src))
-        self._next_msg_id += len(src)
-        sw = self._pn_switch[src - self._s_count]
-        lane = self._lane_of[sw]
-        self._injected += np.bincount(lane, minlength=len(self._injected))
-        if self.routing_table is not None:
-            lost = self._next_hop[self._route_row[sw] + dst] == UNREACHABLE
-            if np.count_nonzero(lost):
-                np.add.at(self._unreachable, lane[lost], 1)
-                kept = ~lost
-                src, dst, sw, lane, ids = src[kept], dst[kept], sw[kept], lane[kept], ids[kept]
-        order = sw.argsort(kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = self._iota[: len(sw)] - sw[order].searchsorted(sw[order])
-        tail = self._occ[sw] + rank
-        enter = tail < self.config.buffer_capacity
-        if np.count_nonzero(enter) < len(enter):
-            full = ~enter
-            np.add.at(self._dropped_buffer, lane[full], 1)
-            self.dropped_this_step = [
-                Message(i, s, d, self.step_index)
-                for i, s, d in zip(ids[full].tolist(), src[full].tolist(), dst[full].tolist())
-            ]
-            src, dst, sw, ids, tail = src[enter], dst[enter], sw[enter], ids[enter], tail[enter]
-        if not len(sw):
-            return
-        # columns come off the free stack in id order, as one inject call per message takes them
-        need = len(sw)
-        if need > self._top:
-            old = self._pool.shape[1]
-            size = 2 * old
-            while self._top + size - old < need:
-                size *= 2
-            self._grow_pool(size)
-        slots = self._free[self._top - need : self._top][::-1]
-        self._top -= need
-        self._in_flight += need
-        entered = np.empty((7, need), dtype=np.int64)
-        entered[_ID], entered[_SRC], entered[_DST] = ids, src, dst
-        entered[_BORN], entered[_HOPS], entered[_PAYLOAD] = self.step_index, 1, _NO_PAYLOAD
-        entered[_DSW] = self._pn_switch[dst - self._s_count]
-        self._pool[:, slots] = entered
-        self._enqueue(slots, sw, tail)
+        if srcs:
+            self._enter(np.concatenate(srcs), np.concatenate(dsts), _NO_PAYLOAD)
 
     def _forward_and_commit(self) -> None:
         """Phases 2 and 3 as whole-array operations, in the per-message order.

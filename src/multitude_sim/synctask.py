@@ -7,7 +7,8 @@ receives a value it averages it into its own frequency and immediately sends
 the updated value to a new random node, so exactly one payload message per
 node circulates forever.  Within a step, deliveries are applied one at a time
 in a seeded random permutation of the nodes, which resolves "simultaneous"
-arrivals deterministically.  The per-step standard deviation of the
+arrivals deterministically; a step's sends then enter the engine as one
+batch, in the order they were made.  The per-step standard deviation of the
 frequencies is the convergence signal.
 
 A payload message lost to the TTL (or, in pathological configs, to a full
@@ -85,22 +86,29 @@ def run_sync_task(
         freqs = np.asarray(initial_values, dtype=float).copy()
         if freqs.shape != (n,):
             raise ConfigError(f"initial_values must hold {n} entries")
-        if np.any(freqs < 0) or np.any(freqs > 1):
+        if not np.all((freqs >= 0) & (freqs <= 1)):  # NaN fails both comparisons
             raise ConfigError("initial frequencies must lie in [0, 1]")
+
+    window: list[tuple[int, int, float]] = []  # emits since the last send: (src PN, dst PN, payload)
 
     def emit(pn_idx: int) -> None:
         pick = int(task_rng.integers(n - 1))
-        dst_idx = pick + 1 if pick >= pn_idx else pick
-        sim.inject(s_count + pn_idx, s_count + dst_idx, payload=float(freqs[pn_idx]))
+        window.append((pn_idx, pick + 1 if pick >= pn_idx else pick, float(freqs[pn_idx])))
 
-    def lost_senders() -> list[int]:
-        # dropped_this_step lists the step's losses and then every entry drop
-        # of the emits since, so each lost payload is replaced exactly once
+    def send() -> list[int]:
+        """Enter the window as one batch, ids in emit order; returns the PNs
+        whose payload was lost since the last send."""
+        if window:
+            src, dst, payload = zip(*window)
+            sim.inject(s_count + np.array(src), s_count + np.array(dst), payload)
+            window.clear()
+        # dropped_this_step lists the step's losses and then the batch's entry
+        # drops, so each lost payload is replaced exactly once
         return [msg.src - s_count for msg in sim.dropped_this_step if msg.payload is not None]
 
     for pn in range(n):
         emit(pn)
-    pending_reemit = lost_senders()  # pn indices whose payload was lost last step
+    pending_reemit = send()  # pn indices whose payload was lost last step
 
     stddevs = [float(np.std(freqs))]
     view = freqs.view()
@@ -112,16 +120,13 @@ def run_sync_task(
         for pn in sorted(pending_reemit):
             emit(pn)
 
-        arrivals: dict[int, list] = {}
-        for msg in sim.delivered_this_step:
-            arrivals.setdefault(msg.dst - s_count, []).append(msg)
-        for pn in task_rng.permutation(n):
-            pn = int(pn)
-            for msg in sorted(arrivals.get(pn, ()), key=lambda m: m.id):
-                freqs[pn] = (freqs[pn] + msg.payload) / 2.0
-                emit(pn)
-
-        pending_reemit = lost_senders()
+        # receivers in a fresh permutation order, each one's arrivals in id order
+        rank = task_rng.permutation(n).argsort().tolist()
+        for msg in sorted(sim.delivered_this_step, key=lambda m: (rank[m.dst - s_count], m.id)):
+            pn = msg.dst - s_count
+            freqs[pn] = (freqs[pn] + msg.payload) / 2.0
+            emit(pn)
+        pending_reemit = send()
 
         stddevs.append(float(np.std(freqs)))
         if on_step is not None:

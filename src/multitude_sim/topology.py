@@ -127,16 +127,16 @@ class TopologyConfig:
             _lattice_side(self.family, self.n_switch)  # raises on bad size
             return
         alpha = self.resolved_alpha()
-        if alpha is None or alpha < 0:
-            raise ConfigError("alpha must be >= 0 for random-multitude families")
+        if alpha is None or not 0 <= alpha < math.inf:  # NaN fails both comparisons
+            raise ConfigError("alpha must be finite and >= 0 for random-multitude families")
         pinned = {"3DRMGlobal": 0.0, "3DRMLocal": 3.0}
         if self.family in pinned and self.alpha is not None and float(self.alpha) != pinned[self.family]:
             raise ConfigError(
                 f"{self.family} is defined by alpha={pinned[self.family]}; "
                 "use 3DRMStandard to sweep the exponent"
             )
-        if self.k_s <= 0:
-            raise ConfigError("k_s must be positive")
+        if not 0 < self.k_s < math.inf:
+            raise ConfigError("k_s must be positive and finite")
         if self.family == "3DRMRealistic" and self.k_max < 1:
             raise ConfigError("k_max must be >= 1 for 3DRMRealistic")
 

@@ -101,6 +101,23 @@ def test_config_error_exit_code():
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--family", "3DRMStandard", "--alpha", "nan", "--seed", "1"],
+        ["generate", "--family", "3DRMStandard", "--alpha", "inf", "--seed", "1"],
+        ["metrics", "--family", "3DRMStandard", "--n", "16", "--s", "16", "--ks", "nan"],
+        ["metrics", "--family", "3DRMStandard", "--n", "16", "--s", "16", "--ks", "inf"],
+    ],
+)
+def test_non_finite_alpha_or_ks_exit_code(args, capsys):
+    # a NaN exponent put every draw on the last candidate; a non-finite k_s
+    # broke the link count with a traceback
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         ("switch-sweep", ["--n", "5"]),

@@ -7,6 +7,8 @@ and the final statistics must agree exactly.  ``simcore.run_many`` runs
 jobs as lanes of one simulation; each lane must give exactly what
 ``oracles.reference_run`` gives for its job alone, and its routing table is
 each lane's own table stitched together (``oracles._lane_routing_tables``).
+``Simulation.inject`` takes a batch; it must give what one scalar
+``ReferenceSimulation.inject`` call per message gives.
 """
 
 from dataclasses import replace
@@ -69,6 +71,17 @@ def snapshot(sim):
         [len(buf) for buf in sim.buffers],
         sim.conservation_ok(),
     )
+
+
+class LoopedReference(ReferenceSimulation):
+    """The reference engine behind the batched ``inject`` signature: one
+    scalar call per message, in array order."""
+
+    def inject(self, src, dst, payload=None):
+        scalar = super().inject
+        src, dst = np.atleast_1d(src).tolist(), np.atleast_1d(dst).tolist()
+        payloads = [None] * len(src) if payload is None else np.broadcast_to(payload, len(src)).tolist()
+        return sum(scalar(*msg) is not None for msg in zip(src, dst, payloads))
 
 
 def step_side_by_side(topo, config, drain_steps):
@@ -136,6 +149,64 @@ def test_run_many_batched_entry_matches_reference_runs():
     assert results == [reference_run(topo, cfg) for topo, cfg in jobs]
     assert results[0].unreachable_dropped and results[2].unreachable_dropped
     assert all(stats.dropped_buffer for stats in results)
+
+
+# (lane topologies, entry batches of (size, source PNs per lane or None for all));
+# with C = 1, _iota holds max(S, N) entries, fewer than most batches
+INJECT_CASES = st.tuples(
+    st.lists(TOPOLOGIES, min_size=1, max_size=2),
+    st.lists(st.tuples(st.integers(1, 300), st.sampled_from([1, 4, None])), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=INJECT_CASES,
+    buffer_capacity=st.sampled_from([1, 2, 3, 100, 300]),
+    routing=st.sampled_from(list(Routing)),
+    with_payload=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_inject_matches_scalar_reference_calls(case, buffer_capacity, routing, with_payload, seed):
+    # one batch of k messages against k scalar calls on the reference engine
+    # over the same (union) topology; sources drawn from 1 or 4 PNs of a lane
+    # crowd one switch, so entry drops and ring widening happen
+    lanes, batches = case
+    topologies = [make_topology(*topo_key) for topo_key in lanes]
+    config = SimConfig(channels=1, buffer_capacity=buffer_capacity, routing=routing, seed=seed)
+    sim = Simulation.lanes(topologies, config, [seed] * len(topologies))
+    ref = LoopedReference(sim.topology, config)
+    rng = np.random.default_rng(seed)
+    first = np.cumsum([sim.topology.n_switch] + [t.n_processing for t in topologies])
+    for size, spread in batches:
+        lane = rng.integers(len(topologies), size=size)
+        count = np.diff(first)[lane]
+        src = rng.integers(np.minimum(count, spread or count))
+        dst = (src + 1 + rng.integers(count - 1)) % count
+        src, dst = src + first[lane], dst + first[lane]
+        payload = rng.random(size) if with_payload else None
+        assert sim.inject(src, dst, payload) == ref.inject(src, dst, payload)
+        assert snapshot(sim) == snapshot(ref)
+        assert records(sim.iter_in_flight()) == records(ref.iter_in_flight())
+        assert [records(buf) for buf in sim.buffers] == [records(buf) for buf in ref.buffers]
+
+
+def test_batched_inject_reaches_widening_drops_and_unreachable():
+    # fixed inputs for the cases the hypothesis test must reach: 200 messages
+    # from one PN, longer than _iota, widen a 300-message buffer past the
+    # initial ring; on faulted 2DCA they meet no path or a 2-message buffer
+    src = np.full(200, 32 + 5)
+    dst = 32 + 6 + np.arange(200) % 26
+    sim = Simulation(make_topology("3DRMStandard", 1, 0), SimConfig(channels=1, buffer_capacity=300))
+    assert len(sim._iota) < 200 and sim.inject(src, dst, 0.5) == 200
+    assert sim.max_buffer_occupancy > simcore._RING_WIDTH
+    assert {m.payload for m in sim.iter_in_flight()} == {0.5}
+    sim = Simulation(make_topology("2DCA", 1, 60), SimConfig(channels=1, buffer_capacity=2))
+    assert sim.inject(src + 27, dst + 27) == 2  # from switch 0 to switches 1-26
+    assert sim.unreachable_dropped and sim.dropped_buffer == 198 - sim.unreachable_dropped
+    drops = sim.dropped_this_step
+    assert [m.hops_taken for m in drops] == [0] * sim.dropped_buffer
+    assert [m.id for m in drops] == sorted(m.id for m in drops)
 
 
 @settings(max_examples=25, deadline=None)
@@ -263,7 +334,7 @@ def test_sync_task_payloads_match_reference_engine(topo_key, channels, buffer_ca
         return trace, seen
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(synctask, "Simulation", ReferenceSimulation)
+        patch.setattr(synctask, "Simulation", LoopedReference)
         ref_trace, ref_seen = traced()
     new_trace, new_seen = traced()
     for step, (new, ref) in enumerate(zip(new_seen, ref_seen), start=1):

@@ -57,7 +57,7 @@ def test_routing_table_marks_unreachable_after_faults():
     assert table[0, 0] == LOCAL
 
     sim = Simulation(faulted, SimConfig(injection_rate=0.0, seed=1))
-    assert sim.inject(16 + 0, 16 + 15) is None
+    assert sim.inject(16 + 0, 16 + 15) == 0
     assert sim.unreachable_dropped == 1
     assert sim.dropped_buffer == 0
     assert sim.conservation_ok()
@@ -207,6 +207,13 @@ def test_inject_validates_endpoints():
         sim.inject(0, 9)  # src must be a processing node
     with pytest.raises(ValueError):
         sim.inject(9, 9)  # needs distinct endpoints
+    with pytest.raises(ValueError):
+        sim.inject([9, 10], [10])  # one destination per source
+    with pytest.raises(ValueError):
+        sim.inject([9, 10, 11], [10, 11, 11])  # every message is checked
+    assert sim.injected == 0 and sim.inject([], []) == 0
+    assert sim.inject([9, 10], [10, 17], [0.25, 0.75]) == 2
+    assert [(m.id, m.src, m.dst, m.payload) for m in sim.iter_in_flight()] == [(0, 9, 10, 0.25), (1, 10, 17, 0.75)]
 
 
 def test_sim_config_validation():
@@ -248,5 +255,5 @@ def test_lanes_share_one_id_space():
     assert union.switch_neighbors(9) == tuple(9 + s for s in large.switch_neighbors(0))
     with pytest.raises(ValueError):
         sim.inject(25, 25 + 9)  # a lane-0 PN cannot reach a lane-1 PN
-    assert sim.inject(25 + 9, 25 + 10) is not None
+    assert sim.inject(25 + 9, 25 + 10) == 1
     assert sim.lane_in_flight() == [0, 1]

@@ -27,6 +27,13 @@ def test_requires_two_processing_nodes():
         run_sync_task(topo, wander_cfg(), horizon=10)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, float("inf")])
+def test_rejects_initial_values_outside_the_unit_interval(bad):
+    # a NaN passed the range checks and gave an all-NaN trace
+    with pytest.raises(ConfigError):
+        run_sync_task(small_rm(), wander_cfg(), horizon=5, initial_values=[0.5] * 15 + [bad])
+
+
 def test_equal_initial_values_are_a_fixed_point():
     trace = run_sync_task(small_rm(), wander_cfg(3), horizon=80, initial_values=[0.7] * 16)
     assert all(sd == 0.0 for sd in trace.stddevs)
