@@ -14,6 +14,8 @@ from pathlib import Path
 from . import harness, metrics, synctask
 from .simcore import SIM_CSV_HEADER, Routing, SimConfig, run
 from .topology import (
+    CA_FAMILIES,
+    RM_FAMILIES,
     ConfigError,
     GenerationError,
     InvariantError,
@@ -62,6 +64,10 @@ _SIM = ("pi", *_TRAFFIC, "routing")
 # the flags of `experiment` that only some experiments read; the static sweeps read none
 _EXPERIMENT_ONLY = ("pi", *_TRAFFIC, "deletions")
 _EXPERIMENT_READS = {"robustness": _EXPERIMENT_ONLY, "sync": _TRAFFIC}
+# the build flags that only some families read; the lattices read none of them
+_FAMILY_ONLY = ("alpha", "ks", "kmax", "raw-attempt-count")
+_FAMILY_READS = {**dict.fromkeys(CA_FAMILIES, ()), **dict.fromkeys(RM_FAMILIES, ("alpha", "ks", "raw-attempt-count")),
+                 "3DRMRealistic": _FAMILY_ONLY}
 
 # flag -> the config field it sets; a flag left unset keeps the field's default
 _TOPOLOGY_FIELDS = {"n": "n_processing", "s": "n_switch", "alpha": "alpha", "ks": "k_s", "kmax": "k_max",
@@ -134,12 +140,18 @@ def _topology_config(opt: _Options) -> TopologyConfig:
     family = opt.get("family")
     if not family:
         raise ConfigError("--family is required (or provide it in the config file)")
+    for flag in _FAMILY_ONLY:  # an unknown family reads them all, and validate() names it
+        if opt.get(flag) is not None and flag not in _FAMILY_READS.get(family, _FAMILY_ONLY):
+            raise ConfigError(f"--{flag} does not apply to the {family} family")
     return TopologyConfig(family, **opt.given(_TOPOLOGY_FIELDS))
 
 
 def _load_or_build(opt: _Options):
     path = opt.get("topology")
     if path:
+        for flag in ("family", "n", "s", *_FAMILY_ONLY):
+            if opt.get(flag) is not None:
+                raise ConfigError(f"--{flag} does not apply when --topology gives the topology")
         with open(path, encoding="utf-8") as fh:
             return import_edge_list(fh.read())
     return build(_topology_config(opt))

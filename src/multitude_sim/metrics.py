@@ -6,10 +6,13 @@ switch are 1 hop apart and lattice neighbors are (Manhattan distance + 1)
 apart.  PNs are degree-1 leaves, so every metric reads the switch arcs that
 the Topology builds once (``Topology.switch_arcs``).  Switch hop counts, and
 with them simcore's routing tables, come from a bit-parallel breadth-first
-search from every switch at once (``_switch_hops``); path lengths come from
-one float relaxation kernel, ``_relax``, seeded with stub lengths, which
-keeps the left fold ``stub_i + l_1 + ... + stub_j`` of a Dijkstra from the
-PN bit for bit.  Clustering and the degree histogram read the same arcs.
+search from every switch at once (``_switch_hops``).  Path lengths come from
+one float kernel, ``_relax``: a Bellman-Ford seeded with stub lengths whose
+frontier is the (source, switch) entries that improved in the round before,
+expanded over the switch's arcs, which hold every link in both directions.
+Float rounding is monotone, so in any relaxation order the result is the
+left fold ``stub_i + l_1 + ... + stub_j`` of a Dijkstra from the PN, bit for
+bit.  Clustering and the degree histogram read the same arcs.
 """
 
 from __future__ import annotations
@@ -69,31 +72,42 @@ class MetricsReport:
         )
 
 
-_BLOCK = 64  # sources relaxed together; bounds the [arcs, block] candidate arrays
+_BLOCK = 32  # sources relaxed together; bounds the frontier's candidate arrays
 
 
-def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Vectorised Bellman-Ford over (tail, head, weight) arcs, ``_BLOCK`` sources at a time.
+def _relax(topology: Topology, seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Frontier-sparse Bellman-Ford over the switch arcs, ``_BLOCK`` sources at a time.
 
-    Column k of the float [n_switch, len(seeds)] result starts at ``values[k]``
-    on switch ``seeds[k]`` and is inf where unreachable.  A round relaxes only
-    the arcs leaving switches improved in the round before.
+    Row k of the float [len(seeds), n_switch] result starts at ``values[k]``
+    on switch ``seeds[k]`` and is inf where unreachable.  A block is one flat
+    source-major vector; the frontier is the flat indices of the entries that
+    improved in the round before.  Arcs are grouped by head and every link is
+    stored both ways with one length, so the arcs into a switch list its
+    neighbours as tails: an entry expands over them to its index plus each
+    arc's ``tail - head``, and one ``np.minimum.at`` scatters the candidates.
+    The bits do not depend on the order: float rounding is monotone, so the
+    fixed point is the minimum over paths of their left-fold sums.
     """
-    tail, head, weight = arcs
-    out = np.empty((n_switch, len(seeds)))
+    tail, head, weight = topology.switch_arcs()
+    s_count = topology.n_switch
+    degree = topology.switch_degrees()
+    end = np.cumsum(degree)  # the arcs into switch u end at end[u]
+    shift = tail.astype(np.int64) - head  # flat step from an arc's head entry to its tail's
+    out = np.empty((len(seeds), s_count))
     for lo in range(0, len(seeds), _BLOCK):
-        frontier = seeds[lo : lo + _BLOCK]
-        dist = np.full((n_switch, len(frontier)), np.inf)
-        dist[frontier, np.arange(len(frontier))] = values[lo : lo + _BLOCK]
-        while len(live := np.flatnonzero(np.isin(tail, frontier))):
-            targets = head[live]
-            starts = np.flatnonzero(np.diff(targets, prepend=-1))
-            best = np.minimum.reduceat(dist[tail[live]] + weight[live, None], starts, axis=0)
-            targets = targets[starts]
-            current = dist[targets]
-            dist[targets] = np.minimum(best, current)
-            frontier = targets[(best < current).any(axis=1)]
-        out[:, lo : lo + _BLOCK] = dist
+        block = out[lo : lo + _BLOCK]
+        block.fill(np.inf)
+        flat = block.reshape(-1)
+        frontier = np.arange(len(block)) * s_count + seeds[lo : lo + _BLOCK]
+        flat[frontier] = values[lo : lo + _BLOCK]
+        while len(frontier):
+            switch = frontier % s_count
+            count = degree[switch]
+            entry = np.repeat(frontier, count)
+            arc = np.repeat(end[switch] - np.cumsum(count), count) + np.arange(len(entry))
+            before = flat.copy()
+            np.minimum.at(flat, entry + shift[arc], flat[entry] + weight[arc])
+            frontier = np.flatnonzero(flat < before)
     return out
 
 
@@ -139,7 +153,7 @@ def pn_hop_matrix(topology: Topology) -> np.ndarray:
     """Minimum hop counts between all processing-node pairs.
 
     Entry [i, j] is the number of switch nodes on a minimum-hop path between
-    processing nodes i and j (indices into ``topology.processing_ids``),
+    PNs i and j (PN i is node ``n_switch + i``, in ``pn_switches()`` order),
     -1 when unreachable, 0 on the diagonal: switch link count plus one.
     """
     pn_switch = topology.pn_switches()
@@ -177,7 +191,7 @@ def pn_distance_matrix(topology: Topology) -> np.ndarray:
     stub = hi >= s_count  # every PN is a leaf, so these are its links, one each
     stubs = np.empty(topology.n_processing)
     stubs[hi[stub] - s_count] = length[stub]
-    dist = _relax(topology.switch_arcs(), s_count, pn_switch, stubs)[pn_switch].T + stubs
+    dist = _relax(topology, pn_switch, stubs)[:, pn_switch] + stubs
     np.fill_diagonal(dist, 0.0)
     return dist
 

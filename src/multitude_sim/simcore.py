@@ -38,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .metrics import _BLOCK, _switch_hops
+from .metrics import _switch_hops
 from .topology import ConfigError, Topology
 
 __all__ = [
@@ -167,6 +167,9 @@ class SimStats:
         )
 
 
+_TABLE_BLOCK = 64  # destination switches per block; bounds the [arcs, block] arrays
+
+
 def compute_routing_tables(topology: Topology) -> np.ndarray:
     """Next-hop table: entry [switch, pn_index] is the neighbor switch id.
 
@@ -184,11 +187,11 @@ def compute_routing_tables(topology: Topology) -> np.ndarray:
     nbr, sw, _ = topology.switch_arcs()
     starts = np.flatnonzero(np.diff(sw, prepend=-1))
     table = np.full((s_count, s_count), UNREACHABLE, dtype=np.int32)
-    for lo in range(0, s_count, _BLOCK):  # [S, S] by destination switch
-        cols = hops[:, lo : lo + _BLOCK]
+    for lo in range(0, s_count, _TABLE_BLOCK):  # [S, S] by destination switch
+        cols = hops[:, lo : lo + _TABLE_BLOCK]
         closer = np.where(cols[nbr] == cols[sw] - 1, nbr[:, None], s_count)
         best = np.minimum.reduceat(closer, starts, axis=0)
-        table[sw[starts], lo : lo + _BLOCK] = np.where(best < s_count, best, UNREACHABLE)
+        table[sw[starts], lo : lo + _TABLE_BLOCK] = np.where(best < s_count, best, UNREACHABLE)
     np.fill_diagonal(table, LOCAL)
     return table[:, pn_switch]
 

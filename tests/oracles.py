@@ -15,9 +15,11 @@ components.  ``_switch_arcs`` and ``_lane_routing_tables`` are the switch-arc
 builder that ``metrics`` ran on every call and the per-lane routing tables
 that ``Simulation`` stitched together, before the switch arcs were built once
 in the ``Topology`` constructor and lanes were read from their union.
+``reference_relax`` is ``metrics._relax`` as it was before the
+frontier-sparse kernel: dense Bellman-Ford rounds over 64 sources at a time,
+each relaxing every arc out of a switch that improved for any of them.
 ``reference_switch_hops`` is ``metrics._switch_hops`` as it was before the
-bit-parallel breadth-first search: the Bellman-Ford relaxation kernel run
-with unit weights, 64 sources at a time.
+bit-parallel breadth-first search: that kernel run with unit weights.
 """
 
 import heapq
@@ -28,7 +30,6 @@ from typing import Iterator
 
 import numpy as np
 
-from multitude_sim.metrics import _BLOCK
 from multitude_sim.simcore import (
     DRAIN_CAP_FACTOR,
     UNREACHABLE,
@@ -183,7 +184,10 @@ def _switch_arcs(topology: Topology) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return tail[order], head[order], np.concatenate([length, length])[order]
 
 
-def _relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachable) -> np.ndarray:
+_BLOCK = 64  # sources relaxed together
+
+
+def reference_relax(arcs, n_switch: int, seeds: np.ndarray, values: np.ndarray, unreachable) -> np.ndarray:
     """Vectorised Bellman-Ford over (tail, head, weight) arcs, ``_BLOCK`` sources at a time.
 
     Column k of the [n_switch, len(seeds)] result starts at ``values[k]`` on
@@ -213,7 +217,7 @@ def reference_switch_hops(topology: Topology) -> np.ndarray:
     s_count = topology.n_switch
     tail, head, _ = topology.switch_arcs()
     unit = (tail, head, np.ones(len(tail), dtype=np.int32))
-    hops = _relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
+    hops = reference_relax(unit, s_count, np.arange(s_count), np.zeros(s_count, dtype=np.int32), s_count)
     hops.setflags(write=False)
     return hops
 

@@ -151,6 +151,43 @@ def test_sync_rejects_flags_it_would_ignore(capsys):
         assert out == "" and err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize(
+    "command, family, size, flag",
+    [
+        ("generate", "2DCA", "9", ["--ks", "nan"]),
+        ("generate", "2DCA", "9", ["--alpha", "7"]),
+        ("metrics", "2DCA", "9", ["--alpha", "7"]),
+        ("generate", "3DRMGlobal", "9", ["--kmax", "-3"]),
+        ("generate", "3DCA", "8", ["--raw-attempt-count"]),
+        ("simulate", "3DRMStandard", "9", ["--kmax", "4", "--steps", "5"]),
+        ("sync", "3DCA", "8", ["--ks", "4", "--steps", "5"]),
+    ],
+)
+def test_commands_reject_flags_the_family_ignores(capsys, command, family, size, flag):
+    assert main([command, "--family", family, "--n", size, "--s", size, *flag]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {flag[0]} does not apply to the {family} family\n"
+
+
+def test_config_file_rejects_keys_the_family_ignores(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("family = 3DRMStandard\nn = 9\ns = 9\nkmax = 4\n", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--kmax" in err
+    assert main(["generate", "--config", str(cfg), "--family", "3DRMRealistic"]) == 0
+
+
+@pytest.mark.parametrize("command", ["metrics", "simulate", "sync"])
+def test_topology_file_rejects_build_flags(tmp_path, capsys, command):
+    topo = tmp_path / "topo.txt"
+    assert main(["generate", "--family", "2DCA", "--n", "9", "--s", "9", "--out", str(topo)]) == 0
+    for flag, value in (("--family", "2DCA"), ("--n", "9"), ("--alpha", "2")):
+        assert main([command, "--topology", str(topo), flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and flag in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "sync"])
 def test_simulation_seed_must_fit_in_64_bits(tmp_path, capsys, command):
     topo = tmp_path / "topo.txt"

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitude_sim import FAMILIES, InvariantError, Topology, TopologyConfig, build, remove_random_links
+from multitude_sim import CA_FAMILIES, FAMILIES, InvariantError, Topology, TopologyConfig, build, remove_random_links
 from multitude_sim.metrics import _switch_hops, pn_distance_matrix, pn_hop_matrix
 from multitude_sim.simcore import Routing, SimConfig, Simulation, compute_routing_tables
 from oracles import (
     dijkstra_distances,
     edge_list,
+    _switch_arcs,
     next_hop_oracle,
     pn_hops_oracle,
+    reference_relax,
     reference_switch_hops,
     switch_component_count,
 )
@@ -116,6 +118,52 @@ def test_non_leaf_processing_node_fails_loudly(call):
     links = ([0, 0, 0, 1], [1, 2, 3, 3], [1.0, 0.01, 1.0, 0.01])
     with pytest.raises(InvariantError, match="processing node 3 "):
         call(Topology("2DCA", 0, 2, 2, pos, links))
+
+
+def _reference_distances(topo):
+    # the dense kernel, 64 sources a block, seeded at each PN's switch with its stub
+    s_count, pn_switch = topo.n_switch, topo.pn_switches()
+    _, hi, length = topo.link_arrays()
+    stubs = np.empty(topo.n_processing)
+    stubs[hi[hi >= s_count] - s_count] = length[hi >= s_count]
+    dist = reference_relax(_switch_arcs(topo), s_count, pn_switch, stubs, np.inf)[pn_switch].T + stubs
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@pytest.mark.parametrize(
+    "family, size",
+    [(f, s) for f in FAMILIES for s in (31, 32, 33, 63, 64, 65, 512) if f not in CA_FAMILIES]
+    + [("2DCA", 64), ("3DCA", 64), ("3DCA", 512)],
+)
+def test_distance_matrix_equals_reference_kernel(family, size):
+    # sources run in blocks, so sizes straddle the kernel's 32 and the reference's 64
+    topo = build(TopologyConfig(family, size, size, seed=size))
+    _assert_exact(pn_distance_matrix(topo), _reference_distances(topo))
+
+
+def test_distance_matrix_equals_reference_kernel_with_isolated_switches():
+    topo = _faulted("2DCA", 64, 64, 0, 80)
+    assert (topo.switch_degrees() == 0).sum() >= 2
+    dist = pn_distance_matrix(topo)
+    assert np.isinf(dist).any()
+    _assert_exact(dist, _reference_distances(topo))
+
+
+def test_distance_matrix_keeps_the_float_fold_of_each_route():
+    # switch 0 reaches switch 5 directly (0.3), over 1 (0.1 + 0.2) and over
+    # 2 and 3 (0.09 + 0.12 + 0.09): equal in reals, but from PN 0 the
+    # three-hop fold is the shortest float, and from PN 1 the two-hop fold
+    # is longer than the direct one
+    a = [0, 0, 1, 0, 2, 3, 0, 0, 5, 4]
+    b = [5, 1, 5, 2, 3, 5, 4, 6, 7, 8]
+    length = [0.3, 0.1, 0.2, 0.09, 0.12, 0.09, 0.05, 0.01, 0.01, 0.02]
+    topo = Topology("3DRMStandard", 0, 6, 3, np.full((9, 3), 0.5), (a, b, length))
+    assert 0.01 + 0.09 + 0.12 + 0.09 + 0.01 < 0.01 + 0.3 + 0.01 == 0.01 + 0.1 + 0.2 + 0.01
+    assert 0.01 + 0.2 + 0.1 + 0.01 > 0.01 + 0.3 + 0.01
+    dist = pn_distance_matrix(topo)
+    assert dist[0, 1] == 0.01 + 0.09 + 0.12 + 0.09 + 0.01
+    _assert_exact(dist, _expected_distances(topo))
 
 
 def _assert_switch_hops_match_reference(topo):

@@ -327,6 +327,23 @@ def test_export_import_round_trip(family, seed, deletions):
     assert again.pn_switches().tolist() == topo.pn_switches().tolist()
 
 
+def _assert_arcs_symmetric(topo):
+    # the path-length kernel walks a switch's arcs in both directions
+    tail, head, length = topo.switch_arcs()
+    arcs = set(zip(tail.tolist(), head.tolist(), length.tolist()))
+    assert len(arcs) == len(tail)
+    assert {(h, t, w) for t, h, w in arcs} == arcs
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_switch_arcs_are_symmetric(family):
+    size = {"2DCA": 64, "3DCA": 64}.get(family, 48)
+    topo = build(TopologyConfig(family, size, size, seed=3))
+    faulted = remove_random_links(topo, 30, rng(3))
+    for case in (topo, faulted, import_edge_list(export_edge_list(faulted))):
+        _assert_arcs_symmetric(case)
+
+
 def test_import_rejects_garbage():
     with pytest.raises(ConfigError):
         import_edge_list("not a topology\n")
