@@ -196,9 +196,8 @@ def _cmd_simulate(opt: _Options) -> None:
 
 def _cmd_sync(opt: _Options) -> None:
     topo = _load_or_build(opt)
-    cfg = replace(_sim_config(opt), routing=Routing.RANDOM_WANDERING)
-    horizon = opt.get("steps", harness.SYNC_HORIZON)
-    trace = synctask.run_sync_task(topo, cfg, horizon)
+    cfg = replace(_sim_config(opt), routing=Routing.RANDOM_WANDERING, horizon=opt.get("steps", harness.SYNC_HORIZON))
+    trace = synctask.run_sync_task(topo, cfg)
     _write(opt, synctask.SYNC_CSV_HEADER + "\n" + "\n".join(synctask.trace_csv_rows(trace)) + "\n")
 
 
@@ -209,6 +208,9 @@ def _cmd_experiment(opt: _Options) -> None:
     for flag in _EXPERIMENT_ONLY:
         if opt.get(flag) is not None and flag not in _EXPERIMENT_READS.get(experiment_id, ()):
             raise ConfigError(f"--{flag} does not apply to the {experiment_id} experiment")
+    for flag in ("ks", "kmax"):  # the experiments build with both; a family may read neither
+        if opt.get(flag) is not None and not any(flag in _FAMILY_READS.get(f, _FAMILY_ONLY) for f in families):
+            raise ConfigError(f"--{flag} does not apply to any of the families {','.join(families)}")
     sweep = None
     if deletions:
         try:

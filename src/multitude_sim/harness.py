@@ -224,8 +224,8 @@ def _sync_point(spec, family, _value, seeds):
     horizon = spec.horizon if spec.horizon is not None else SYNC_HORIZON
     traces = []
     for seed, topo in zip(seeds, _built(spec, family, seeds)):
-        cfg = replace(spec.sim, routing=Routing.RANDOM_WANDERING, seed=derive_subseed(seed, "gossip"))
-        traces.append(synctask.trace_csv_rows(synctask.run_sync_task(topo, cfg, horizon)))
+        cfg = replace(spec.sim, routing=Routing.RANDOM_WANDERING, horizon=horizon, seed=derive_subseed(seed, "gossip"))
+        traces.append(synctask.trace_csv_rows(synctask.run_sync_task(topo, cfg)))
     return traces
 
 

@@ -4,15 +4,15 @@ Paths are always evaluated between processing-node pairs.  The hop count of a
 path is the number of switch nodes on it, so two processing nodes sharing a
 switch are 1 hop apart and lattice neighbors are (Manhattan distance + 1)
 apart.  PNs are degree-1 leaves, so every metric reads the switch arcs that
-the Topology builds once (``Topology.switch_arcs``).  Switch hop counts, and
-with them simcore's routing tables, come from a bit-parallel breadth-first
-search from every switch at once (``_switch_hops``).  Path lengths come from
-one float kernel, ``_relax``: a Bellman-Ford seeded with stub lengths whose
-frontier is the (source, switch) entries that improved in the round before,
-expanded over the switch's arcs, which hold every link in both directions.
-Float rounding is monotone, so in any relaxation order the result is the
-left fold ``stub_i + l_1 + ... + stub_j`` of a Dijkstra from the PN, bit for
-bit.  Clustering and the degree histogram read the same arcs.
+the Topology builds once (``Topology.switch_arcs``).  Hop counts read the
+switch hop matrix that the Topology computes on first use and keeps
+(``Topology.switch_hops``), as simcore's routing tables do.  Path lengths
+come from one float kernel, ``_relax``: a Bellman-Ford seeded with stub
+lengths whose frontier is the (source, switch) entries that improved in the
+round before, expanded over the switch's arcs, which hold every link in both
+directions.  Float rounding is monotone, so in any relaxation order the
+result is the left fold ``stub_i + l_1 + ... + stub_j`` of a Dijkstra from
+the PN, bit for bit.  Clustering and the degree histogram read the same arcs.
 """
 
 from __future__ import annotations
@@ -111,44 +111,6 @@ def _relax(topology: Topology, seeds: np.ndarray, values: np.ndarray) -> np.ndar
     return out
 
 
-def _switch_hops(topology: Topology) -> np.ndarray:
-    """[S, S] int32 switch-to-switch link counts, S where unreachable; read-only.
-
-    A level-synchronous breadth-first search from all S switches at once:
-    bit u of row v of the packed reach sets says that the search from
-    switch u has reached switch v.  A level ORs together the frontier rows
-    of each switch's neighbours (one ``bitwise_or.reduceat`` over the arcs
-    grouped by head) and keeps the bits not seen before, which are unpacked
-    to write the level.
-    Computed once per topology and kept on it: a Topology never changes its
-    links, so the hop metrics and simcore's routing tables share one search.
-    """
-    if topology._switch_hops is None:
-        s_count = topology.n_switch
-        tail, head, _ = topology.switch_arcs()
-        hops = np.full((s_count, s_count), s_count, dtype=np.int32)
-        np.fill_diagonal(hops, 0)
-        ids = np.arange(s_count)
-        # little-endian words, so the byte view unpacks bit u of a row at column u
-        seen = np.zeros((s_count, (s_count + 63) // 64), dtype="<u8")
-        seen[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
-        frontier = seen.copy()
-        starts = np.flatnonzero(np.diff(head, prepend=-1))
-        reached = head[starts]
-        level = 0
-        while len(tail) and frontier.any():
-            level += 1
-            new = np.bitwise_or.reduceat(frontier[tail], starts, axis=0) & ~seen[reached]
-            frontier = np.zeros_like(seen)
-            frontier[reached] = new
-            seen |= frontier
-            bits = np.unpackbits(frontier.view(np.uint8), axis=1, count=s_count, bitorder="little")
-            np.copyto(hops, level, where=bits.view(bool))
-        hops.setflags(write=False)
-        topology._switch_hops = hops
-    return topology._switch_hops
-
-
 def pn_hop_matrix(topology: Topology) -> np.ndarray:
     """Minimum hop counts between all processing-node pairs.
 
@@ -157,7 +119,7 @@ def pn_hop_matrix(topology: Topology) -> np.ndarray:
     -1 when unreachable, 0 on the diagonal: switch link count plus one.
     """
     pn_switch = topology.pn_switches()
-    hops = _switch_hops(topology)[np.ix_(pn_switch, pn_switch)]
+    hops = topology.switch_hops()[np.ix_(pn_switch, pn_switch)]
     hops = np.where(hops < topology.n_switch, hops + 1, -1)
     np.fill_diagonal(hops, 0)
     return hops

@@ -8,7 +8,8 @@ Each step runs three phases:
    in message-id order;
 2. forwarding -- every switch dequeues up to C messages; each is delivered
    if its destination hangs off this switch, otherwise sent toward the next
-   hop (shortest-path table or a uniformly random switch neighbor) into a
+   hop (shortest-path table, read off the topology's switch hop matrix
+   ``Topology.switch_hops``, or a uniformly random switch neighbor) into a
    staging area;
 3. commit -- staged messages enter their destination buffers in message-id
    order, hop counters increment, and messages whose hop count exceeds the
@@ -38,7 +39,6 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .metrics import _switch_hops
 from .topology import ConfigError, Topology
 
 __all__ = [
@@ -173,7 +173,7 @@ _TABLE_BLOCK = 64  # destination switches per block; bounds the [arcs, block] ar
 def compute_routing_tables(topology: Topology) -> np.ndarray:
     """Next-hop table: entry [switch, pn_index] is the neighbor switch id.
 
-    From the switch hop matrix (``metrics._switch_hops``) a switch picks
+    From the switch hop matrix (``Topology.switch_hops``) a switch picks
     its lowest-id neighbor one hop closer to the destination PN's switch,
     reading the topology's switch arcs.
     LOCAL marks the destination's own switch, UNREACHABLE a missing path
@@ -181,7 +181,7 @@ def compute_routing_tables(topology: Topology) -> np.ndarray:
     """
     pn_switch = topology.pn_switches()
     s_count = topology.n_switch
-    hops = _switch_hops(topology)
+    hops = topology.switch_hops()
     # arcs sorted by (head, tail); read swapped, they are grouped by switch
     # with neighbors ascending, so a group minimum is the lowest-id choice
     nbr, sw, _ = topology.switch_arcs()
@@ -219,10 +219,7 @@ def _records(rows: np.ndarray) -> list[Message]:
 
 
 class _SwitchBuffer:
-    """A read-only view of one switch's FIFO in a live simulation.
-
-    len() is the switch's occupancy; iteration yields its records in FIFO order.
-    """
+    """One switch's FIFO in a live simulation; len() is its occupancy."""
 
     __slots__ = ("_sim", "_switch")
 
@@ -232,14 +229,6 @@ class _SwitchBuffer:
 
     def __len__(self) -> int:
         return self._sim._occ.item(self._switch)
-
-    def __iter__(self) -> Iterator[Message]:
-        sim = self._sim
-        counts = np.where(sim._switches == self._switch, sim._occ, 0)
-        return iter(_records(sim._pool.take(sim._fifo(counts)[0], axis=1)))
-
-    def __getitem__(self, index: int) -> Message:
-        return list(self)[index]
 
 
 class Simulation:
@@ -272,8 +261,9 @@ class Simulation:
     built from pool columns (``_records``) only when they are read:
     ``delivered_this_step`` keeps a copy of the delivered columns and
     builds its records on first access; ``dropped_this_step`` (a step's
-    entry drops first, in id order), ``buffers`` and ``iter_in_flight()``
-    build theirs when they are filled or read.  Each
+    entry drops first, in id order) and ``iter_in_flight()`` build theirs
+    when they are filled or read.  ``buffers`` holds one sized view per
+    switch, whose len() is that switch's occupancy.  Each
     step's delivered columns also go to a log that is folded into the
     per-lane delivery sums now and then, so a step pays no per-lane
     arithmetic for its deliveries.

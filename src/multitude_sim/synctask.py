@@ -58,11 +58,10 @@ class SyncTrace:
 def run_sync_task(
     topology: Topology,
     config: SimConfig,
-    horizon: int,
     initial_values: Sequence[float] | None = None,
     on_step: Callable[[int, np.ndarray, Simulation], None] | None = None,
 ) -> SyncTrace:
-    """Run the averaging task for ``horizon`` steps and record the std-dev trace.
+    """Run the averaging task for ``config.horizon`` steps and record the std-dev trace.
 
     ``initial_values`` overrides the seeded uniform initialization (useful
     for fixed-point tests).  ``on_step(step, frequencies, sim)`` is invoked
@@ -74,10 +73,8 @@ def run_sync_task(
         raise ValueError("the synchronization task needs at least 2 processing nodes")
     if config.routing is not Routing.RANDOM_WANDERING:
         raise ConfigError("the synchronization task runs under random wandering")
-    if horizon < 0:
-        raise ConfigError("horizon must be >= 0")
 
-    sim = Simulation(topology, replace(config, injection_rate=0.0, horizon=horizon))
+    sim = Simulation(topology, replace(config, injection_rate=0.0))
     task_rng = np.random.default_rng([int(config.seed), _TASK_STREAM])
 
     if initial_values is None:
@@ -114,7 +111,7 @@ def run_sync_task(
     view = freqs.view()
     view.setflags(write=False)
 
-    for step in range(1, horizon + 1):
+    for step in range(1, config.horizon + 1):
         sim.step(inject=False)
 
         for pn in sorted(pending_reemit):

@@ -165,7 +165,8 @@ class Topology:
     length (the lattice-family stub links are pinned to 0.01).  They are kept
     as three read-only arrays (``link_arrays``), and the switch graph, built
     once here, as both directions of every switch link (``switch_arcs``):
-    every switch-graph quantity reads that one form.
+    every switch-graph quantity reads that one form.  The switch hop matrix
+    (``switch_hops``) is searched from the arcs on first use and kept.
 
     ``links`` is an (a, b, length) triple of equal-length sequences.  A
     self-loop, an unknown node or a second link between the same pair raises
@@ -262,7 +263,7 @@ class Topology:
             raise InvariantError(f"processing node {s_count + bad[0]} must attach to exactly one switch node")
         pn_switch.setflags(write=False)
         self._pn_switch = pn_switch
-        self._switch_hops = None  # [S, S] hop counts, filled once by metrics._switch_hops
+        self._switch_hops = None  # [S, S] hop counts, filled on the first switch_hops()
 
     # -- basic accessors ---------------------------------------------------
 
@@ -271,28 +272,12 @@ class Topology:
         return self.n_switch + self.n_processing
 
     @property
-    def n_links(self) -> int:
-        return len(self._lo)
-
-    @property
     def positions(self) -> np.ndarray:
         return self._positions
-
-    @property
-    def processing_ids(self) -> range:
-        return range(self.n_switch, self.n_nodes)
 
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (low id, high id, length) per link, sorted by (low, high)."""
         return self._lo, self._hi, self._length
-
-    def link_length(self, a: int, b: int) -> float:
-        key = (a, b) if a < b else (b, a)
-        first, last = self._lo.searchsorted(key[0]), self._lo.searchsorted(key[0], side="right")
-        i = first + self._hi[first:last].searchsorted(key[1])
-        if i == last or self._hi[i] != key[1]:
-            raise KeyError(key)
-        return self._length.item(i)
 
     def switch_link_pairs(self) -> list[tuple[int, int]]:
         switch_link = self._hi < self.n_switch
@@ -307,14 +292,42 @@ class Topology:
         """Switch-to-switch degree per switch (stub links excluded)."""
         return np.diff(self._arc_start)
 
-    def switch_neighbors(self, switch_id: int) -> tuple[int, ...]:
-        s = range(self.n_switch)[switch_id]
-        return tuple(self._arcs[0][self._arc_start[s] : self._arc_start[s + 1]].tolist())
+    def switch_hops(self) -> np.ndarray:
+        """[S, S] int32 switch-to-switch link counts, S where unreachable; read-only.
 
-    def switch_degree(self, switch_id: int) -> int:
-        """Switch-to-switch degree (stub links excluded)."""
-        s = range(self.n_switch)[switch_id]
-        return int(self._arc_start[s + 1] - self._arc_start[s])
+        A level-synchronous breadth-first search from all S switches at once:
+        bit u of row v of the packed reach sets says that the search from
+        switch u has reached switch v.  A level ORs together the frontier rows
+        of each switch's neighbours (one ``bitwise_or.reduceat`` over the arcs
+        grouped by head) and keeps the bits not seen before, which are unpacked
+        to write the level.
+        Computed on first call and kept: a Topology never changes its links,
+        so the hop metrics and simcore's routing tables share one search.
+        """
+        if self._switch_hops is None:
+            s_count = self.n_switch
+            tail, head, _ = self._arcs
+            hops = np.full((s_count, s_count), s_count, dtype=np.int32)
+            np.fill_diagonal(hops, 0)
+            ids = np.arange(s_count)
+            # little-endian words, so the byte view unpacks bit u of a row at column u
+            seen = np.zeros((s_count, (s_count + 63) // 64), dtype="<u8")
+            seen[ids, ids // 64] = np.uint64(1) << (ids % 64).astype(np.uint64)
+            frontier = seen.copy()
+            starts = np.flatnonzero(np.diff(head, prepend=-1))
+            reached = head[starts]
+            level = 0
+            while len(tail) and frontier.any():
+                level += 1
+                new = np.bitwise_or.reduceat(frontier[tail], starts, axis=0) & ~seen[reached]
+                frontier = np.zeros_like(seen)
+                frontier[reached] = new
+                seen |= frontier
+                bits = np.unpackbits(frontier.view(np.uint8), axis=1, count=s_count, bitorder="little")
+                np.copyto(hops, level, where=bits.view(bool))
+            hops.setflags(write=False)
+            self._switch_hops = hops
+        return self._switch_hops
 
     def attached_switch(self, pn_id: int) -> int:
         return int(self._pn_switch[pn_id - self.n_switch])
@@ -699,12 +712,14 @@ def export_edge_list(topology: Topology) -> str:
 def import_edge_list(text: str) -> Topology:
     """Parse the edge-list format back into a Topology.
 
-    The family label and seed come from the header; generation parameters
-    that the format does not carry (alpha, k_s, k_max) are restored to the
-    family defaults.  A malformed or non-numeric row raises ConfigError, a
-    processing node not wired to exactly one switch InvariantError.  A
-    repeated node id raises ConfigError, a repeated link (in either
-    direction) InvariantError.
+    The family label and seed come from the header.  The v1 format does not
+    carry the generation parameters, and they are not restored: alpha is the
+    family default (a non-default alpha is lost), k_s is None, and k_max is
+    10 for 3DRMRealistic and None otherwise (a v2 header that carries all
+    three is planned in ROADMAP.md).  A malformed or non-numeric row raises
+    ConfigError, a processing node not wired to exactly one switch
+    InvariantError.  A repeated node id raises ConfigError, a repeated link
+    (in either direction) InvariantError.
     """
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith(EDGE_LIST_HEADER):

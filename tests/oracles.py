@@ -257,7 +257,10 @@ class ReferenceSimulation:
         self._s_count = s_count
         self._n_count = topology.n_processing
         self._pn_switch = topology.pn_switches().tolist()
-        self._switch_neighbors = [topology.switch_neighbors(s) for s in range(s_count)]
+        tail, _, _ = topology.switch_arcs()  # grouped by head, tails ascending
+        self._switch_neighbors = [
+            tuple(nbrs.tolist()) for nbrs in np.split(tail, np.cumsum(topology.switch_degrees())[:-1])
+        ]
         self.buffers: list[deque[Message]] = [deque() for _ in range(s_count)]
         self.step_index = 0
         self._next_msg_id = 0

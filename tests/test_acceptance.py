@@ -295,7 +295,7 @@ def test_criterion_09_synchronization_ordering_and_hull():
             seed = derive_seed(0, "sync", family, "trace", rep)
             topo = build(TopologyConfig(family, 64, 64, seed=seed))
             cfg = SimConfig(
-                routing=Routing.RANDOM_WANDERING, seed=derive_subseed(seed, "gossip")
+                routing=Routing.RANDOM_WANDERING, horizon=horizon, seed=derive_subseed(seed, "gossip")
             )
             hull = {}
 
@@ -309,7 +309,7 @@ def test_criterion_09_synchronization_ordering_and_hull():
                 hull["lo"] = min(hull["lo"], float(freqs.min()))
                 hull["hi"] = max(hull["hi"], float(freqs.max()))
 
-            trace = run_sync_task(topo, cfg, horizon, on_step=check_hull)
+            trace = run_sync_task(topo, cfg, on_step=check_hull)
             hit = trace.steps_to_threshold[threshold]
             steps.append(hit if hit is not None else horizon)
         mean_steps[family] = float(np.mean(steps))

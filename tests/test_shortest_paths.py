@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multitude_sim import CA_FAMILIES, FAMILIES, InvariantError, Topology, TopologyConfig, build, remove_random_links
-from multitude_sim.metrics import _switch_hops, pn_distance_matrix, pn_hop_matrix
+from multitude_sim.metrics import pn_distance_matrix, pn_hop_matrix
 from multitude_sim.simcore import Routing, SimConfig, Simulation, compute_routing_tables
 from oracles import (
     dijkstra_distances,
@@ -167,7 +167,7 @@ def test_distance_matrix_keeps_the_float_fold_of_each_route():
 
 
 def _assert_switch_hops_match_reference(topo):
-    got = _switch_hops(topo)
+    got = topo.switch_hops()
     assert got.dtype == np.int32
     assert not got.flags.writeable
     _assert_exact(got, reference_switch_hops(topo))
@@ -192,3 +192,24 @@ def test_switch_hops_on_a_faulted_fabric_use_the_unreachable_sentinel():
 @pytest.mark.parametrize("family", ["3DCA", "3DRMStandard"])
 def test_switch_hops_on_512_switch_fabrics(family):
     _assert_switch_hops_match_reference(build(TopologyConfig(family, 512, 512, seed=5)))
+
+
+def test_switch_hops_are_kept_per_topology_and_not_carried_to_derived_ones():
+    topo = build(TopologyConfig("3DRMStandard", 64, 64, seed=3))
+    hops = topo.switch_hops()
+    assert topo.switch_hops() is hops and not hops.flags.writeable
+    pn_hop_matrix(topo)
+    compute_routing_tables(topo)
+    assert topo.switch_hops() is hops
+    lo, hi, length = topo.link_arrays()
+    keep = np.ones(len(lo), dtype=bool)
+    keep[np.flatnonzero(hi < topo.n_switch)[:20]] = False  # the first 20 switch links
+    derived = [
+        remove_random_links(topo, 30, np.random.default_rng(1)),
+        topo.with_links((lo[keep], hi[keep], length[keep])),
+    ]
+    for faulted in derived:
+        got = _assert_switch_hops_match_reference(faulted)
+        assert got is not hops and not np.array_equal(got, hops)
+    same = topo.with_links((lo, hi, length)).switch_hops()
+    assert same is not hops and np.array_equal(same, hops)

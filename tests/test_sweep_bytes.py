@@ -144,7 +144,7 @@ def test_gnuplot_rejects_sync(tmp_path):
 CLI_RUNS = {
     "robustness-flags": [
         "experiment", "robustness", "--family", "3DRMStandard,2DCA", "--deletions", "0,7",
-        "--seeds-per-point", "2", "--seed", "3", "--ks", "5", "--kmax", "8", "--pi", "0.3",
+        "--seeds-per-point", "2", "--seed", "3", "--ks", "5", "--pi", "0.3",
         "--channels", "2", "--buffer", "4", "--ttl", "50", "--steps", "25",
     ],
     "alpha-config-file": ["experiment", "alpha-sweep", "--config", "alpha.cfg"],

@@ -8,8 +8,8 @@ from multitude_sim.simcore import Routing, SimConfig
 from multitude_sim.synctask import SYNC_THRESHOLDS, run_sync_task, trace_csv_rows
 
 
-def wander_cfg(seed=0):
-    return SimConfig(routing=Routing.RANDOM_WANDERING, seed=seed)
+def wander_cfg(seed=0, horizon=500):
+    return SimConfig(routing=Routing.RANDOM_WANDERING, horizon=horizon, seed=seed)
 
 
 def small_rm(seed=0):
@@ -18,24 +18,29 @@ def small_rm(seed=0):
 
 def test_requires_random_wandering():
     with pytest.raises(ConfigError):
-        run_sync_task(small_rm(), SimConfig(routing=Routing.SHORTEST_PATH), horizon=10)
+        run_sync_task(small_rm(), SimConfig(routing=Routing.SHORTEST_PATH, horizon=10))
 
 
 def test_requires_two_processing_nodes():
     topo = build(TopologyConfig("2DCA", 1, 1, seed=0))
     with pytest.raises(ValueError):
-        run_sync_task(topo, wander_cfg(), horizon=10)
+        run_sync_task(topo, wander_cfg(horizon=10))
+
+
+def test_rejects_a_negative_horizon():
+    with pytest.raises(ConfigError, match="^horizon must be >= 0$"):
+        run_sync_task(small_rm(), wander_cfg(horizon=-1))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.1, float("inf")])
 def test_rejects_initial_values_outside_the_unit_interval(bad):
     # a NaN passed the range checks and gave an all-NaN trace
     with pytest.raises(ConfigError):
-        run_sync_task(small_rm(), wander_cfg(), horizon=5, initial_values=[0.5] * 15 + [bad])
+        run_sync_task(small_rm(), wander_cfg(horizon=5), initial_values=[0.5] * 15 + [bad])
 
 
 def test_equal_initial_values_are_a_fixed_point():
-    trace = run_sync_task(small_rm(), wander_cfg(3), horizon=80, initial_values=[0.7] * 16)
+    trace = run_sync_task(small_rm(), wander_cfg(3, horizon=80), initial_values=[0.7] * 16)
     assert all(sd == 0.0 for sd in trace.stddevs)
     assert trace.steps_to_threshold[0.01] == 0
 
@@ -51,7 +56,7 @@ def test_two_node_pair_averages_to_half():
         seen.append(tuple(freqs))
 
     trace = run_sync_task(
-        topo, wander_cfg(5), horizon=40, initial_values=[0.0, 1.0], on_step=watch
+        topo, wander_cfg(5, horizon=40), initial_values=[0.0, 1.0], on_step=watch
     )
     assert any(0.5 in state for state in seen)
     gaps = [abs(a - b) for a, b in seen]
@@ -69,7 +74,7 @@ def test_convex_hull_confinement_including_payloads():
         for msg in sim.iter_in_flight():
             assert lo - 1e-12 <= msg.payload <= hi + 1e-12
 
-    run_sync_task(topo, wander_cfg(2), horizon=300, initial_values=init, on_step=check)
+    run_sync_task(topo, wander_cfg(2, horizon=300), initial_values=init, on_step=check)
 
 
 def test_payload_population_is_conserved():
@@ -82,21 +87,21 @@ def test_payload_population_is_conserved():
         assert in_flight <= 32
         assert in_flight + len(sim.dropped_this_step) >= 32 - len(sim.dropped_this_step)
 
-    run_sync_task(topo, wander_cfg(6), horizon=200, on_step=check)
+    run_sync_task(topo, wander_cfg(6, horizon=200), on_step=check)
 
 
 def test_entry_drops_are_reemitted_once():
     # one-message buffers drop payloads on entry; each loss is replaced once,
     # so the population stays at N instead of doubling every step
     topo = build(TopologyConfig("3DRMStandard", 32, 32, seed=4))
-    cfg = SimConfig(routing=Routing.RANDOM_WANDERING, channels=1, buffer_capacity=1, seed=5)
+    cfg = SimConfig(routing=Routing.RANDOM_WANDERING, channels=1, buffer_capacity=1, horizon=50, seed=5)
     lost = []
 
     def check(step, freqs, sim):
         lost.append(len(sim.dropped_this_step))
         assert sim.in_flight() + len(sim.dropped_this_step) <= 32
 
-    run_sync_task(topo, cfg, horizon=50, on_step=check)
+    run_sync_task(topo, cfg, on_step=check)
     assert max(lost) > 0
 
 
@@ -104,15 +109,15 @@ def test_ttl_drop_triggers_reemission():
     # a 1-hop TTL kills almost every payload in flight; the task must keep
     # re-emitting and still make progress instead of going silent
     topo = build(TopologyConfig("3DRMGlobal", 16, 16, seed=2))
-    cfg = SimConfig(routing=Routing.RANDOM_WANDERING, ttl=2, seed=3)
-    trace = run_sync_task(topo, cfg, horizon=400)
+    cfg = SimConfig(routing=Routing.RANDOM_WANDERING, horizon=400, ttl=2, seed=3)
+    trace = run_sync_task(topo, cfg)
     assert trace.stddevs[-1] < trace.stddevs[0]
 
 
 def test_spread_collapses_despite_stale_payloads():
     # stale in-flight payloads can bump the node-set std for a step or two,
     # but the hull pins every value and the spread must collapse overall
-    trace = run_sync_task(small_rm(8), wander_cfg(9), horizon=400)
+    trace = run_sync_task(small_rm(8), wander_cfg(9, horizon=400))
     sds = trace.stddevs
     assert max(sds) <= 0.5 + 1e-12  # widest possible spread of [0,1] values
     assert np.mean(sds[-50:]) < 0.1 * sds[0]
@@ -120,8 +125,8 @@ def test_spread_collapses_despite_stale_payloads():
 
 def test_trace_is_deterministic():
     topo = build(TopologyConfig("3DRMStandard", 64, 64, seed=11))
-    a = run_sync_task(topo, wander_cfg(12), horizon=250)
-    b = run_sync_task(topo, wander_cfg(12), horizon=250)
+    a = run_sync_task(topo, wander_cfg(12, horizon=250))
+    b = run_sync_task(topo, wander_cfg(12, horizon=250))
     assert a.stddevs == b.stddevs
     assert a.steps_to_threshold == b.steps_to_threshold
 
@@ -133,7 +138,7 @@ def test_global_converges_before_lattice():
         steps = []
         for seed in range(5):
             topo = build(TopologyConfig(family, 64, 64, seed=seed + 100))
-            trace = run_sync_task(topo, wander_cfg(seed + 200), horizon=2500)
+            trace = run_sync_task(topo, wander_cfg(seed + 200, horizon=2500))
             hit = trace.steps_to_threshold[0.05]
             steps.append(hit if hit is not None else 2500)
         return float(np.mean(steps))
@@ -142,7 +147,7 @@ def test_global_converges_before_lattice():
 
 
 def test_trace_csv_shape():
-    trace = run_sync_task(small_rm(1), wander_cfg(1), horizon=20)
+    trace = run_sync_task(small_rm(1), wander_cfg(1, horizon=20))
     rows = trace_csv_rows(trace)
     assert len(rows) == 22  # steps 0..20 plus the summary row
     assert rows[0].startswith("3DRMGlobal,1,16,16,0.0,0,")

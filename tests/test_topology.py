@@ -25,7 +25,12 @@ from multitude_sim import (
     remove_random_links,
     sample_neighbor,
 )
-from oracles import ReferenceTopology, link_triple, switch_component_count
+from oracles import ReferenceTopology, edge_list, link_triple, switch_component_count
+
+
+def link_lengths(topo):
+    """{(low id, high id): length} of every link, read from ``link_arrays()``."""
+    return {(a, b): length for a, b, length in edge_list(topo)}
 
 
 def rng(seed):
@@ -38,9 +43,8 @@ def rng(seed):
 def test_2dca_9_link_counts():
     topo = build_ca(TopologyConfig("2DCA", 9, 9, seed=1))
     assert len(topo.switch_link_pairs()) == 12  # 2 * m * (m-1) for m=3
-    assert topo.n_links == 21
-    lo, hi, _ = topo.link_arrays()
-    assert all(topo.link_length(a, b) == 0.01 for a, b in zip(lo.tolist(), hi.tolist()) if b >= 9)
+    assert len(topo.link_arrays()[0]) == 21
+    assert all(length == 0.01 for (_, b), length in link_lengths(topo).items() if b >= 9)
 
 
 def test_3dca_27_link_counts():
@@ -51,7 +55,7 @@ def test_3dca_27_link_counts():
 def test_2dca_degenerate_single_node():
     topo = build_ca(TopologyConfig("2DCA", 1, 1, seed=1))
     assert topo.n_switch == 1 and topo.n_processing == 1
-    assert topo.n_links == 1
+    assert len(topo.link_arrays()[0]) == 1
     assert len(topo.switch_link_pairs()) == 0
 
 
@@ -61,8 +65,9 @@ def test_ca_lattice_geometry():
     xs = sorted(set(topo.positions[: topo.n_switch, 0].tolist()))
     assert xs == [0.0, 0.5, 1.0]
     assert all(z == 0.0 for z in topo.positions[:, 2].tolist())
+    lengths = link_lengths(topo)
     for a, b in topo.switch_link_pairs():
-        assert topo.link_length(a, b) == pytest.approx(0.5)
+        assert lengths[(a, b)] == pytest.approx(0.5)
 
 
 def test_ca_rejects_bad_sizes():
@@ -89,16 +94,17 @@ def test_rm_positions_distinct_and_in_cube():
 def test_rm_pn_attaches_to_nearest_switch():
     topo = build(TopologyConfig("3DRMGlobal", 32, 48, seed=9))
     sw_pos = topo.positions[:48]
-    for pn in topo.processing_ids:
+    lengths = link_lengths(topo)
+    for pn, sw in enumerate(topo.pn_switches().tolist(), start=topo.n_switch):
         d = np.linalg.norm(sw_pos - topo.positions[pn], axis=1)
-        assert topo.attached_switch(pn) == int(d.argmin())
-        assert topo.link_length(topo.attached_switch(pn), pn) == pytest.approx(float(d.min()))
+        assert sw == int(d.argmin())
+        assert lengths[(sw, pn)] == pytest.approx(float(d.min()))
 
 
 def test_realistic_respects_kmax_over_seeds():
     for seed in range(50):
         topo = build(TopologyConfig("3DRMRealistic", 64, 64, seed=seed))
-        assert max(topo.switch_degree(s) for s in range(64)) <= 10
+        assert topo.switch_degrees().max() <= 10
 
 
 # Regression baseline: 20-seed realized mean degree measured at 6.0016 for the
@@ -110,7 +116,7 @@ def test_standard_realized_degree_near_target():
     means = []
     for seed in range(20):
         topo = build(TopologyConfig("3DRMStandard", 64, 64, seed=seed))
-        means.append(sum(topo.switch_degree(s) for s in range(64)) / 64)
+        means.append(int(topo.switch_degrees().sum()) / 64)
     mean = float(np.mean(means))
     assert abs(mean - 6.0) / 6.0 < 0.15
     assert mean == pytest.approx(REALIZED_DEGREE_BASELINE, abs=0.05)
@@ -119,7 +125,7 @@ def test_standard_realized_degree_near_target():
 def test_raw_attempt_count_doubles_degree():
     cfg = TopologyConfig("3DRMGlobal", 64, 64, seed=3, raw_attempt_count=True)
     topo = build(cfg)
-    mean = sum(topo.switch_degree(s) for s in range(64)) / 64
+    mean = int(topo.switch_degrees().sum()) / 64
     assert 10.5 < mean <= 12.0  # k_s * S attempts instead of k_s * S / 2
 
 
@@ -130,7 +136,7 @@ def test_rm_invariants_across_families_and_seeds():
             topo.validate()
             assert switch_component_count(topo) == 1
             lo, hi, _ = topo.link_arrays()
-            for pn in topo.processing_ids:
+            for pn in range(topo.n_switch, topo.n_nodes):
                 assert np.count_nonzero((lo == pn) | (hi == pn)) == 1
 
 
@@ -234,10 +240,10 @@ def _two_component_topology():
 def test_ensure_connected_bridges_two_components():
     topo = _two_component_topology()
     assert switch_component_count(topo) == 2
-    before = topo.n_links
+    before = len(topo.link_arrays()[0])
     repaired = ensure_connected(topo, rng(2))
     assert switch_component_count(repaired) == 1
-    assert repaired.n_links == before + 1  # one bridge per merge
+    assert len(repaired.link_arrays()[0]) == before + 1  # one bridge per merge
 
 
 def test_ensure_connected_local_family_100_seeds():
@@ -263,7 +269,7 @@ def test_remove_all_switch_links():
     topo = build(TopologyConfig("2DCA", 16, 16, seed=1))
     faulted = remove_random_links(topo, len(topo.switch_link_pairs()), rng(1))
     assert faulted.switch_link_pairs() == []
-    assert faulted.n_links == 16  # stubs survive
+    assert len(faulted.link_arrays()[0]) == 16  # stubs survive
 
 
 def test_remove_40_of_112_grid_links():
@@ -283,10 +289,10 @@ def test_remove_preserves_positions_and_stubs():
     topo = build(TopologyConfig("3DRMStandard", 64, 64, seed=4))
     faulted = remove_random_links(topo, 50, rng(4))
     assert np.array_equal(faulted.positions, topo.positions)
-    for pn in topo.processing_ids:
-        sw = topo.attached_switch(pn)
-        assert faulted.attached_switch(pn) == sw
-        assert faulted.link_length(sw, pn) == topo.link_length(sw, pn)
+    assert faulted.pn_switches().tolist() == topo.pn_switches().tolist()
+    lengths, faulted_lengths = link_lengths(topo), link_lengths(faulted)
+    for pn, sw in enumerate(topo.pn_switches().tolist(), start=topo.n_switch):
+        assert faulted_lengths[(sw, pn)] == lengths[(sw, pn)]
 
 
 # -- serialization ----------------------------------------------------------------------
@@ -412,7 +418,7 @@ def test_topology_rejects_self_loops_and_duplicates():
 
 def test_pn_switches_reads_attachment_and_rejects_non_leaf():
     topo = build(TopologyConfig("3DRMGlobal", 32, 48, seed=9))
-    assert topo.pn_switches().tolist() == [topo.attached_switch(pn) for pn in topo.processing_ids]
+    assert topo.pn_switches().tolist() == [topo.attached_switch(pn) for pn in range(topo.n_switch, topo.n_nodes)]
     # PN 2 is wired to both switches, so it is not a leaf: no such Topology exists
     pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.0, 0.0]])
     with pytest.raises(InvariantError, match="processing node 2 "):
