@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -264,6 +265,12 @@ class Topology:
         pn_switch.setflags(write=False)
         self._pn_switch = pn_switch
         self._switch_hops = None  # [S, S] hop counts, filled on the first switch_hops()
+
+    def __reduce__(self):
+        # through the constructor, so a copy (one sent to a worker process
+        # included) arrives with read-only arrays and searches its own hops
+        make = partial(Topology, alpha=self.alpha, k_s=self.k_s, k_max=self.k_max)
+        return make, (self.family, self.seed, self.n_switch, self.n_processing, self._positions, self.link_arrays())
 
     # -- basic accessors ---------------------------------------------------
 

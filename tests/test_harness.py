@@ -1,9 +1,12 @@
 """Experiment runner behavior: seeds, determinism, row schemas, trends."""
 
+import concurrent.futures
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from multitude_sim import ConfigError, TopologyConfig, build
+from multitude_sim import ConfigError, TopologyConfig, build, harness
 from multitude_sim.harness import (
     ALPHA_GRID,
     DELETION_GRID,
@@ -14,6 +17,7 @@ from multitude_sim.harness import (
     run_experiment,
 )
 from multitude_sim.metrics import average_hops
+from multitude_sim.simcore import SimConfig
 
 
 def rows_of(csv_text):
@@ -183,6 +187,61 @@ def test_robustness_skips_oversized_deletions():
 def test_robustness_default_grid_spans_paper_point():
     assert 40 in DELETION_GRID
     assert DELETION_GRID[0] == 0 and DELETION_GRID[-1] == 60
+
+
+# -- robustness lane runs in worker processes --------------------------------------------
+
+
+def _run_on(monkeypatch, cpus, spec):
+    """run_experiment as if the process could use ``cpus`` CPUs, and the pool sizes it made."""
+    pools = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    def pool(workers):
+        pools.append(workers)
+        return pool_class(workers)
+
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    try:
+        return run_experiment(spec), pools
+    finally:
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("seeds", [1, 3])
+def test_robustness_bytes_do_not_depend_on_worker_count(monkeypatch, seeds):
+    spec = ExperimentSpec("robustness", sweep_values=(0, 40), seeds_per_point=seeds, horizon=20)
+    pooled, pools = _run_on(monkeypatch, 4, spec)
+    serial, no_pools = _run_on(monkeypatch, 1, spec)
+    assert pools == [4] and no_pools == []
+    assert pooled == serial
+    assert {line.split(",")[0] for line in pooled.splitlines()[1:]} == set(harness.FAMILIES)
+
+
+def test_robustness_skipped_point_is_the_same_in_workers(monkeypatch):
+    # 2DCA at N = S = 64 has 112 switch links, so 113 deletions skip the point
+    spec = ExperimentSpec("robustness", families=("2DCA", "3DRMStandard"), sweep_values=(0, 113),
+                          seeds_per_point=3, horizon=20)
+    pooled, pools = _run_on(monkeypatch, 4, spec)
+    serial, _ = _run_on(monkeypatch, 1, spec)
+    assert pools == [4] and pooled == serial
+    assert "2DCA,113,skipped,0,0,0,0,0,,\n" in pooled
+
+
+@pytest.mark.parametrize("cpus", [4, 1])
+def test_lane_run_error_reaches_the_caller(monkeypatch, cpus):
+    # the lane run is the first to validate the simulation config
+    spec = ExperimentSpec("robustness", families=("2DCA", "3DCA"), sweep_values=(0, 5),
+                          seeds_per_point=2, horizon=5, sim=SimConfig(channels=-1))
+    with pytest.raises(ConfigError, match="channels must be >= 0"):
+        _run_on(monkeypatch, cpus, spec)
+
+
+def test_one_deferred_run_stays_in_process(monkeypatch):
+    spec = ExperimentSpec("robustness", families=("3DCA",), sweep_values=(0,), seeds_per_point=2, horizon=5)
+    _, pools = _run_on(monkeypatch, 4, spec)
+    assert pools == []
 
 
 # -- sync ----------------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Generation, sampling, repair, fault, and serialization tests."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -331,6 +332,23 @@ def test_export_import_round_trip(family, seed, deletions):
     assert [a.tobytes() for a in again.link_arrays()] == [a.tobytes() for a in topo.link_arrays()]
     assert [a.tobytes() for a in again.switch_arcs()] == [a.tobytes() for a in topo.switch_arcs()]
     assert again.pn_switches().tolist() == topo.pn_switches().tolist()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_pickle_round_trip_is_equal_and_read_only(family):
+    # the robustness sweep sends topologies to worker processes this way
+    topo = build(TopologyConfig(family, 64, 64, seed=5))
+    for case in (topo, remove_random_links(topo, 20, rng(5))):
+        again = pickle.loads(pickle.dumps(case))
+        assert type(again) is Topology
+        meta = ("family", "seed", "alpha", "k_s", "k_max", "n_switch", "n_processing")
+        assert [getattr(again, m) for m in meta] == [getattr(case, m) for m in meta]
+        assert np.array_equal(again.positions, case.positions)
+        arrays = [again.positions, *again.link_arrays(), *again.switch_arcs(), again.pn_switches()]
+        assert [a.tobytes() for a in again.link_arrays()] == [a.tobytes() for a in case.link_arrays()]
+        assert [a.tobytes() for a in again.switch_arcs()] == [a.tobytes() for a in case.switch_arcs()]
+        assert not any(a.flags.writeable for a in arrays)
+        assert np.array_equal(again.switch_hops(), case.switch_hops())
 
 
 def _assert_arcs_symmetric(topo):
