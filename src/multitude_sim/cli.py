@@ -21,6 +21,7 @@ from .topology import (
     InvariantError,
     TopologyConfig,
     build,
+    csv_text,
     export_edge_list,
     import_edge_list,
 )
@@ -184,21 +185,21 @@ def _cmd_generate(opt: _Options) -> None:
 def _cmd_metrics(opt: _Options) -> None:
     topo = _load_or_build(opt)
     report = metrics.compute_metrics(topo)
-    _write(opt, metrics.METRICS_CSV_HEADER + "\n" + report.csv_row(topo) + "\n")
+    _write(opt, csv_text(metrics.METRICS_CSV_HEADER, [report.csv_row(topo)]))
 
 
 def _cmd_simulate(opt: _Options) -> None:
     topo = _load_or_build(opt)
     cfg = _sim_config(opt)
     stats = run(topo, cfg)
-    _write(opt, SIM_CSV_HEADER + "\n" + stats.csv_row(topo, cfg) + "\n")
+    _write(opt, csv_text(SIM_CSV_HEADER, [stats.csv_row(topo, cfg)]))
 
 
 def _cmd_sync(opt: _Options) -> None:
     topo = _load_or_build(opt)
     cfg = replace(_sim_config(opt), routing=Routing.RANDOM_WANDERING, horizon=opt.get("steps", harness.SYNC_HORIZON))
     trace = synctask.run_sync_task(topo, cfg)
-    _write(opt, synctask.SYNC_CSV_HEADER + "\n" + "\n".join(synctask.trace_csv_rows(trace)) + "\n")
+    _write(opt, csv_text(synctask.SYNC_CSV_HEADER, synctask.trace_csv_rows(trace)))
 
 
 def _cmd_experiment(opt: _Options) -> None:

@@ -61,6 +61,8 @@ from .topology import (
     ConfigError,
     TopologyConfig,
     build,
+    csv_line,
+    csv_text,
     remove_random_links,
 )
 
@@ -145,6 +147,9 @@ class ExperimentSpec:
             raise ConfigError("at least one family is required")
         if self.sweep_values is not None and len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be nonempty when given")
+        for what, values in (("family", self.families), ("sweep value", self.sweep_values or ())):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"a {what} repeats in {tuple(values)}; its rows would be written twice")
 
 
 @dataclass(frozen=True)
@@ -276,21 +281,6 @@ SYNC_BLOCK = Block("sync", FAMILIES, ("trace",), str, _sync_point, swept=False)
 EXPERIMENTS = (*SWEEPS, "sync")
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _emit(spec: ExperimentSpec, header: str, lines: list[str]) -> str:
-    text = header + "\n" + "\n".join(lines) + "\n"
-    if spec.out_path:
-        Path(spec.out_path).write_text(text, encoding="utf-8", newline="\n")
-    return text
-
-
 def _summary(names: list[str], cells: list[list], skipped: bool) -> list:
     """The cells of a point's mean row, or of its skipped row."""
     return [
@@ -330,7 +320,7 @@ def _run_deferred(work: list) -> list:
         return list(pool.map(_call, work))
 
 
-def _run_sweep(spec: ExperimentSpec, header: str, blocks: tuple[Block, ...]) -> str:
+def _run_sweep(spec: ExperimentSpec, header: str, blocks: tuple[Block, ...]) -> list[str]:
     names = header.split(",")
     measured = names[names.index("seed") + 1 :]
     points = [
@@ -347,23 +337,29 @@ def _run_sweep(spec: ExperimentSpec, header: str, blocks: tuple[Block, ...]) -> 
         rows.extend([*lead, seed, *c] for seed, c in zip(seeds, cells))
         skipped = len(cells) < len(seeds)
         rows.append([*lead, "skipped" if skipped else "mean", *_summary(measured, cells, skipped)])
-    return _emit(spec, header, [",".join(_fmt(v) for v in row) for row in rows])
+    return [csv_line(row) for row in rows]
 
 
-def _run_sync(spec: ExperimentSpec) -> str:
+def _run_sync(spec: ExperimentSpec) -> list[str]:
     lines: list[str] = []
     for family, value, seeds in _points(spec, SYNC_BLOCK):
         for trace_rows in SYNC_BLOCK.point(spec, family, value, seeds):
             lines.extend(trace_rows)
-    return _emit(spec, synctask.SYNC_CSV_HEADER, lines)
+    return lines
 
 
 def run_experiment(spec: ExperimentSpec) -> str:
     """Run one experiment, write its CSV to ``spec.out_path`` if set, and return the text."""
     spec.validate()
     if spec.experiment == "sync":
-        return _run_sync(spec)
-    return _run_sweep(spec, *SWEEPS[spec.experiment])
+        header, lines = synctask.SYNC_CSV_HEADER, _run_sync(spec)
+    else:
+        header, blocks = SWEEPS[spec.experiment]
+        lines = _run_sweep(spec, header, blocks)
+    text = csv_text(header, lines)
+    if spec.out_path:
+        Path(spec.out_path).write_text(text, encoding="utf-8", newline="\n")
+    return text
 
 
 def write_gnuplot_script(spec: ExperimentSpec, csv_path: str, script_path: str) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology
+from .topology import ConfigError, Topology, csv_line
 
 __all__ = [
     "DisconnectedTopologyError",
@@ -54,22 +54,9 @@ class MetricsReport:
     unreachable_pairs: int
 
     def csv_row(self, topology: Topology) -> str:
-        alpha = "" if topology.alpha is None else repr(float(topology.alpha))
-        k_s = "" if topology.k_s is None else repr(float(topology.k_s))
-        return ",".join(
-            [
-                topology.family,
-                str(topology.seed),
-                str(topology.n_processing),
-                str(topology.n_switch),
-                alpha,
-                k_s,
-                repr(float(self.avg_hops)),
-                repr(float(self.avg_path_length)),
-                repr(float(self.clustering_coefficient)),
-                str(self.unreachable_pairs),
-            ]
-        )
+        return csv_line([topology.family, topology.seed, topology.n_processing, topology.n_switch, topology.alpha,
+                         topology.k_s, self.avg_hops, self.avg_path_length, self.clustering_coefficient,
+                         self.unreachable_pairs])
 
 
 _BLOCK = 32  # sources relaxed together; bounds the frontier's candidate arrays
@@ -134,7 +121,7 @@ def average_hops(topology: Topology) -> tuple[float, int]:
     """
     n = topology.n_processing
     if n < 2:
-        raise ValueError("average_hops needs at least 2 processing nodes")
+        raise ConfigError("average_hops needs at least 2 processing nodes")
     hops = pn_hop_matrix(topology)  # 0 only on the diagonal
     unreachable = int((hops < 0).sum()) // 2
     if not (hops > 0).any():
@@ -162,7 +149,7 @@ def average_path_length(topology: Topology) -> float:
     """Mean weighted shortest path over unordered distinct PN pairs, stubs included."""
     n = topology.n_processing
     if n < 2:
-        raise ValueError("average_path_length needs at least 2 processing nodes")
+        raise ConfigError("average_path_length needs at least 2 processing nodes")
     rows, cols = np.triu_indices(n, 1)
     upper = pn_distance_matrix(topology)[rows, cols]
     broken = np.flatnonzero(~np.isfinite(upper))
@@ -206,7 +193,7 @@ def compute_metrics(topology: Topology) -> MetricsReport:
     """All static metrics at once; path length degrades to NaN after faults."""
     avg, unreachable = average_hops(topology)
     try:
-        path_length = average_path_length(topology)
+        path_length = float(average_path_length(topology))  # csv_line writes a numpy float as np.float64(...)
     except DisconnectedTopologyError:
         path_length = float("nan")
     try:

@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .topology import ConfigError, Topology
+from .topology import ConfigError, Topology, csv_line
 
 __all__ = [
     "Routing",
@@ -141,30 +141,13 @@ class SimStats:
     drain_capped: bool = False
 
     def csv_row(self, topology: Topology, config: SimConfig) -> str:
-        alpha = "" if topology.alpha is None else repr(float(topology.alpha))
-        k_s = "" if topology.k_s is None else repr(float(topology.k_s))
-        return ",".join(
-            [
-                topology.family,
-                str(config.seed),
-                str(topology.n_processing),
-                str(topology.n_switch),
-                alpha,
-                k_s,
-                config.routing.value,
-                repr(float(config.injection_rate)),
-                str(config.channels),
-                str(config.buffer_capacity),
-                str(config.horizon),
-                str(self.delivered),
-                str(self.dropped_ttl),
-                str(self.dropped_buffer),
-                str(self.unreachable_dropped),
-                repr(float(self.avg_hops_delivered)),
-                repr(float(self.avg_latency)),
-                repr(float(self.throughput_per_switch)),
-            ]
-        )
+        # the seed column is the traffic seed, not the topology's
+        return csv_line([
+            topology.family, config.seed, topology.n_processing, topology.n_switch, topology.alpha, topology.k_s,
+            config.routing.value, float(config.injection_rate), config.channels, config.buffer_capacity,
+            config.horizon, self.delivered, self.dropped_ttl, self.dropped_buffer, self.unreachable_dropped,
+            float(self.avg_hops_delivered), float(self.avg_latency), float(self.throughput_per_switch),
+        ])
 
 
 _TABLE_BLOCK = 64  # destination switches per block; bounds the [arcs, block] arrays

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .simcore import Routing, SimConfig, Simulation
-from .topology import ConfigError, Topology
+from .topology import ConfigError, Topology, csv_line
 
 __all__ = [
     "SYNC_THRESHOLDS",
@@ -70,7 +70,7 @@ def run_sync_task(
     n = topology.n_processing
     s_count = topology.n_switch
     if n < 2:
-        raise ValueError("the synchronization task needs at least 2 processing nodes")
+        raise ConfigError("the synchronization task needs at least 2 processing nodes")
     if config.routing is not Routing.RANDOM_WANDERING:
         raise ConfigError("the synchronization task runs under random wandering")
 
@@ -152,8 +152,7 @@ def trace_csv_rows(trace: SyncTrace) -> list[str]:
     ';' ("-" when the threshold was never reached), keeping the file plain
     7-column CSV.
     """
-    alpha = "" if trace.alpha is None else repr(float(trace.alpha))
-    prefix = f"{trace.family},{trace.seed},{trace.n_processing},{trace.n_switch},{alpha}"
+    prefix = csv_line([trace.family, trace.seed, trace.n_processing, trace.n_switch, trace.alpha])
     rows = [f"{prefix},{step},{sd!r}" for step, sd in enumerate(trace.stddevs)]
     summary = ";".join(
         f"{thr}:{trace.steps_to_threshold[thr] if trace.steps_to_threshold[thr] is not None else '-'}"

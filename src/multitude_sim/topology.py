@@ -44,6 +44,8 @@ __all__ = [
     "remove_random_links",
     "export_edge_list",
     "import_edge_list",
+    "csv_line",
+    "csv_text",
 ]
 
 FAMILIES = ("2DCA", "3DCA", "3DRMStandard", "3DRMLocal", "3DRMGlobal", "3DRMRealistic")
@@ -172,7 +174,8 @@ class Topology:
     ``links`` is an (a, b, length) triple of equal-length sequences.  A
     self-loop, an unknown node or a second link between the same pair raises
     InvariantError naming the first offending entry; so does a processing
-    node that is not a leaf on exactly one switch.
+    node that is not a leaf on exactly one switch.  ``alpha`` and ``k_s`` are
+    kept as float or None, so every row renders them alike.
     """
 
     __slots__ = (
@@ -208,8 +211,8 @@ class Topology:
     ):
         self.family = family
         self.seed = int(seed)
-        self.alpha = alpha
-        self.k_s = k_s
+        self.alpha = None if alpha is None else float(alpha)
+        self.k_s = None if k_s is None else float(k_s)
         self.k_max = k_max
         self.n_switch = int(n_switch)
         self.n_processing = int(n_processing)
@@ -714,6 +717,16 @@ def export_edge_list(topology: Topology) -> str:
     for a, b, ln in zip(lo.tolist(), hi.tolist(), length.tolist()):
         lines.append(f"L {a} {b} {ln!r}")
     return "\n".join(lines) + "\n"
+
+
+def csv_line(cells: Sequence) -> str:
+    """One CSV row: None is a blank cell, a float its repr (numpy's, for a numpy float), anything else its str."""
+    return ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in cells)
+
+
+def csv_text(header: str, lines: list[str]) -> str:
+    """A CSV file's text: the header, then one line per row, newline-terminated."""
+    return header + "\n" + "\n".join(lines) + "\n"
 
 
 def import_edge_list(text: str) -> Topology:

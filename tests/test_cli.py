@@ -281,6 +281,28 @@ def test_non_numeric_option_values_exit_code(tmp_path, capsys):
     assert "n = 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["metrics", "sync"])
+def test_one_processing_node_exit_code(command, capsys):
+    # one processing node makes no pair to measure or gossip with; this ended in a traceback
+    assert main([command, "--family", "3DRMStandard", "--n", "1", "--s", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["scaling", "--family", "2DCA,2DCA", "--seeds-per-point", "1"],
+        ["robustness", "--family", "2DCA", "--deletions", "0,0"],
+    ],
+)
+def test_repeated_family_or_sweep_value_exit_code(args, capsys):
+    # a repeated family or value wrote its rows twice
+    assert main(["experiment", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "repeats" in err
+
+
 def test_infeasible_generation_exit_code():
     rc = main(["generate", "--family", "3DRMRealistic", "--kmax", "1", "--ks", "6"])
     assert rc == 2

@@ -295,6 +295,11 @@ def test_run_experiment_dispatch_and_validation():
         run_experiment(ExperimentSpec("scaling", families=("XX",)))
     with pytest.raises(ConfigError):
         run_experiment(ExperimentSpec("scaling", seeds_per_point=0))
+    # a repeated family or sweep value would write its rows twice; 2 and 2.0 are one exponent
+    with pytest.raises(ConfigError, match="family repeats"):
+        run_experiment(ExperimentSpec("scaling", families=("2DCA", "3DCA", "2DCA")))
+    with pytest.raises(ConfigError, match="sweep value repeats"):
+        run_experiment(ExperimentSpec("alpha-sweep", sweep_values=(2, 0.5, 2.0)))
 
 
 def test_experiment_csv_written_to_disk(tmp_path):
