@@ -147,6 +147,9 @@ class ExperimentSpec:
             raise ConfigError("at least one family is required")
         if self.sweep_values is not None and len(self.sweep_values) == 0:
             raise ConfigError("sweep_values must be nonempty when given")
+        cast = SWEEPS[self.experiment][1][0].cast if self.experiment in SWEEPS else None  # sync ignores them
+        if cast and any(cast(value) != value for value in self.sweep_values or ()):
+            raise ConfigError(f"sweep values {self.sweep_values} must each be an exact {cast.__name__}")
         for what, values in (("family", self.families), ("sweep value", self.sweep_values or ())):
             if len(set(values)) < len(values):
                 raise ConfigError(f"a {what} repeats in {tuple(values)}; its rows would be written twice")

@@ -20,8 +20,8 @@ step and the outcome does not depend on the order switches are visited.
 Each phase is one fixed sequence of whole-array operations over
 structure-of-arrays message state (see ``Simulation``): a step's new
 messages enter as one batch, through the entry routine that
-``Simulation.inject`` also uses for callers that create their own traffic,
-such as the sync task.
+``Simulation.inject`` and the sync task also use for their own traffic,
+and its deliveries and drops stay columns that ``Simulation.messages`` reads.
 Everything is driven by one seeded generator consumed in fixed id order, so
 a (topology, config) pair always produces identical statistics.  Runs that
 differ only in topology and seed can share one simulation as lanes over
@@ -31,7 +31,6 @@ own generator and gets the statistics it would get alone.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence
@@ -187,31 +186,18 @@ _ID, _SRC, _DST, _BORN, _HOPS, _DSW, _PAYLOAD = range(7)
 # the payload row holds a float's bits (written through a float64 view);
 # None is stored as -1, the bits of a NaN that float arithmetic never produces
 _NO_PAYLOAD = -1
+_NO_ROWS = np.zeros((7, 0), dtype=np.int64)  # no messages, as pool columns
 
 # the delivery log is folded into the per-lane sums at this many entries or messages
 _LOG_ENTRIES = 64
 _LOG_MESSAGES = 1024
 
 
-def _records(rows: np.ndarray) -> list[Message]:
-    """Message records from pool columns (``_pool.take(slots, axis=1)``)."""
-    ids, srcs, dsts, born, hops, _, bits = rows.tolist()
-    values = rows[_PAYLOAD].view(np.float64).tolist()
-    payloads = [None if p == _NO_PAYLOAD else v for p, v in zip(bits, values)]
-    return list(map(Message, ids, srcs, dsts, born, hops, payloads))
-
-
-class _SwitchBuffer:
-    """One switch's FIFO in a live simulation; len() is its occupancy."""
-
-    __slots__ = ("_sim", "_switch")
-
-    def __init__(self, sim: "Simulation", switch: int):
-        self._sim = sim
-        self._switch = switch
-
-    def __len__(self) -> int:
-        return self._sim._occ.item(self._switch)
+def _records(columns: dict[str, np.ndarray]) -> list[Message]:
+    """Message records from ``Simulation.messages`` columns, in their order."""
+    *fields, payload = columns.values()
+    payloads = np.where(payload.view(np.int64) == _NO_PAYLOAD, None, payload).tolist()
+    return list(map(Message, *(field.tolist() for field in fields), payloads))
 
 
 class Simulation:
@@ -238,16 +224,14 @@ class Simulation:
     ``[S, width]`` ring of pool columns: ``_occ[s]`` entries from column
     ``_head[s]``, wrapping at ``width`` (a power of two, doubled when a
     buffer needs more).  New messages, a step's drawn batch
-    (``_inject_batch``) or a caller's (``inject``), enter through one
-    routine, ``_enter``; a step's staged messages are committed as one
-    batch, and both are placed by ``_enqueue``.  ``Message`` records are
-    built from pool columns (``_records``) only when they are read:
-    ``delivered_this_step`` keeps a copy of the delivered columns and
-    builds its records on first access; ``dropped_this_step`` (a step's
-    entry drops first, in id order) and ``iter_in_flight()`` build theirs
-    when they are filled or read.  ``buffers`` holds one sized view per
-    switch, whose len() is that switch's occupancy.  Each
-    step's delivered columns also go to a log that is folded into the
+    (``_inject_batch``), a caller's (``inject``) or the sync task's, enter
+    through one routine, ``_enter``; a step's staged messages are committed
+    as one batch, and both are placed by ``_enqueue``.  A step keeps its
+    delivered and dropped messages as pool columns only; ``messages(view)``
+    reads them, or the buffered messages, as named columns, and the record
+    views (``delivered_this_step``, ``dropped_this_step``,
+    ``iter_in_flight()``) build ``Message`` records from it on every read.
+    Each step's delivered columns also go to a log that is folded into the
     per-lane delivery sums now and then, so a step pays no per-lane
     arithmetic for its deliveries.
     """
@@ -269,6 +253,9 @@ class Simulation:
     def _setup(self, topologies: list[Topology], config: SimConfig, seeds: list[int]) -> None:
         for seed in seeds:  # the lanes' seeds stand in for config.seed
             replace(config, seed=seed).validate()
+        pns = [t.n_processing for t in topologies]
+        if min(pns) < 2:
+            raise ConfigError("a simulation needs at least 2 processing nodes in every lane")
         self.config = config
         self.topology = union = _disjoint_union(topologies)
         sizes = [t.n_switch for t in topologies]
@@ -298,14 +285,9 @@ class Simulation:
             self._route_row = self._switches * n_count - s_count
         self._stays = self.routing_table is None and len(isolated) > 0
 
-        # per-lane generators, injection sources and TTLs
+        # per-lane generators, injection sources (generator, first PN id, PN count) and TTLs
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
-        self._sources = []  # (generator, first PN id, PN count) of lanes that inject
-        first_pn = s_count
-        for rng, t in zip(self._rngs, topologies):
-            if t.n_processing >= 2:
-                self._sources.append((rng, first_pn, t.n_processing))
-            first_pn += t.n_processing
+        self._sources = list(zip(self._rngs, np.cumsum([s_count] + pns[:-1]).tolist(), pns))
         ttls = [config.ttl if config.ttl is not None else 100 * n for n in sizes]
         # one TTL for every lane, or a TTL per switch when lane sizes set different ones
         self._ttl = int(ttls[0]) if len(set(ttls)) == 1 else np.repeat(ttls, sizes)
@@ -320,9 +302,6 @@ class Simulation:
         self._top = 0
         self._grow_pool(s_count * min(config.buffer_capacity, 16))  # pages are touched as used
         self._in_flight = 0
-        # views of the FIFOs; a weak proxy keeps the simulation free of reference cycles
-        owner = weakref.proxy(self)
-        self.buffers = tuple(_SwitchBuffer(owner, s) for s in range(s_count))
         self.step_index = 0
         self._next_msg_id = 0
 
@@ -340,9 +319,7 @@ class Simulation:
         self._peak_floor = 0
         self._log: list[tuple[int, np.ndarray]] = []  # (step, delivered columns) not yet folded
         self._logged = 0
-        self._delivered_rows = self._pool[:, :0]
-        self._delivered_records: list[Message] | None = []
-        self.dropped_this_step: list[Message] = []
+        self._delivered_rows = self._dropped_rows = _NO_ROWS  # the last step's, as pool columns
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -371,12 +348,30 @@ class Simulation:
     def max_buffer_occupancy(self) -> int:
         return int(self._peaks.max())
 
+    def messages(self, view: str) -> dict[str, np.ndarray]:
+        """Read-only columns id, src, dst, injected_at, hops and payload (float64, NaN for none) of the
+        last step's "delivered" or "dropped" messages or the "buffered" ones, in their record views' order."""
+        if view == "buffered":
+            rows = self._pool.take(self._fifo(self._occ)[0], axis=1)
+        else:
+            rows = {"delivered": self._delivered_rows, "dropped": self._dropped_rows}[view]
+        rows.flags.writeable = False  # the delivered columns are also the delivery log's
+        return dict(zip(("id", "src", "dst", "injected_at", "hops"), rows), payload=rows[_PAYLOAD].view(np.float64))
+
     @property
     def delivered_this_step(self) -> list[Message]:
         """Records of the messages the last step delivered, in (switch, FIFO) order."""
-        if self._delivered_records is None:
-            self._delivered_records = _records(self._delivered_rows)
-        return self._delivered_records
+        return _records(self.messages("delivered"))
+
+    @property
+    def dropped_this_step(self) -> list[Message]:
+        """Records of the last step's entry, then commit drops, each in id order, then entries dropped since."""
+        return _records(self.messages("dropped"))
+
+    @property
+    def buffers(self) -> list[range]:
+        """One sized item per switch, whose len() is that switch's occupancy."""
+        return list(map(range, self._occ.tolist()))
 
     def in_flight(self) -> int:
         return self._in_flight
@@ -387,7 +382,7 @@ class Simulation:
 
     def iter_in_flight(self) -> Iterator[Message]:
         """Records of every buffered message, switch by switch in FIFO order."""
-        return iter(_records(self._pool.take(self._fifo(self._occ)[0], axis=1)))
+        return iter(_records(self.messages("buffered")))
 
     def conservation_ok(self) -> bool:
         accounted = (
@@ -543,8 +538,8 @@ class Simulation:
 
         A reachable message enters while its rank among the reachable entries
         at its source switch, in id order, is below the room left in that
-        switch's buffer.  Entry drops are appended to ``dropped_this_step`` in
-        id order, with 0 hops.  The ring widens at most once and the pool
+        switch's buffer.  Entry drops join the step's dropped columns in id
+        order, with 0 hops.  The ring widens at most once and the pool
         grows at most once.
         """
         count = len(src)
@@ -573,7 +568,7 @@ class Simulation:
             np.add.at(self._dropped_buffer, lane[full], 1)
             dropped = rows[:, full]
             dropped[_HOPS] = 0
-            self.dropped_this_step += _records(dropped)
+            self._dropped_rows = np.concatenate([self._dropped_rows, dropped], axis=1)
             rows, sw, tail = rows[:, enter], sw[enter], tail[enter]
         need = len(sw)
         if not need:
@@ -596,8 +591,7 @@ class Simulation:
 
     def step(self, inject: bool = True) -> None:
         self.step_index += 1
-        self._delivered_records = []
-        self.dropped_this_step = []
+        self._delivered_rows = self._dropped_rows = _NO_ROWS
 
         rate = self.config.injection_rate if inject else 0.0
         if rate > 0.0:
@@ -651,7 +645,6 @@ class Simulation:
         if delivered:
             done = slots[deliver]
             self._delivered_rows = self._pool.take(done, axis=1)
-            self._delivered_records = None
             self._log.append((self.step_index, self._delivered_rows))
             self._logged += delivered
             if len(self._log) >= _LOG_ENTRIES or self._logged >= _LOG_MESSAGES:
@@ -693,7 +686,7 @@ class Simulation:
             slots, dest, tail = slots[accept], dest[accept], tail[accept]
         if len(dropped):
             dropped = dropped[self._id[dropped].argsort()]
-            self.dropped_this_step += _records(self._pool.take(dropped, axis=1))
+            self._dropped_rows = np.concatenate([self._dropped_rows, self._pool.take(dropped, axis=1)], axis=1)
             self._release(dropped)
         if len(slots):
             self._enqueue(slots, dest, tail)

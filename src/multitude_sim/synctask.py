@@ -69,8 +69,6 @@ def run_sync_task(
     """
     n = topology.n_processing
     s_count = topology.n_switch
-    if n < 2:
-        raise ConfigError("the synchronization task needs at least 2 processing nodes")
     if config.routing is not Routing.RANDOM_WANDERING:
         raise ConfigError("the synchronization task runs under random wandering")
 
@@ -93,15 +91,15 @@ def run_sync_task(
         window.append((pn_idx, pick + 1 if pick >= pn_idx else pick, float(freqs[pn_idx])))
 
     def send() -> list[int]:
-        """Enter the window as one batch, ids in emit order; returns the PNs
-        whose payload was lost since the last send."""
+        """Enter the window as one batch in emit order, skipping ``inject``'s checks of endpoints the
+        task draws itself; returns the PNs whose payload was lost since the last send."""
         if window:
             src, dst, payload = zip(*window)
-            sim.inject(s_count + np.array(src), s_count + np.array(dst), payload)
+            sim._enter(s_count + np.array(src), s_count + np.array(dst), np.array(payload).view(np.int64))
             window.clear()
-        # dropped_this_step lists the step's losses and then the batch's entry
+        # the drop columns list the step's losses and then the batch's entry
         # drops, so each lost payload is replaced exactly once
-        return [msg.src - s_count for msg in sim.dropped_this_step if msg.payload is not None]
+        return (sim.messages("dropped")["src"] - s_count).tolist()
 
     for pn in range(n):
         emit(pn)
@@ -118,10 +116,11 @@ def run_sync_task(
             emit(pn)
 
         # receivers in a fresh permutation order, each one's arrivals in id order
-        rank = task_rng.permutation(n).argsort().tolist()
-        for msg in sorted(sim.delivered_this_step, key=lambda m: (rank[m.dst - s_count], m.id)):
-            pn = msg.dst - s_count
-            freqs[pn] = (freqs[pn] + msg.payload) / 2.0
+        rank = task_rng.permutation(n).argsort()
+        got = sim.messages("delivered")
+        order = np.lexsort((got["id"], rank[got["dst"] - s_count]))
+        for pn, payload in zip((got["dst"][order] - s_count).tolist(), got["payload"][order].tolist()):
+            freqs[pn] = (freqs[pn] + payload) / 2.0
             emit(pn)
         pending_reemit = send()
 

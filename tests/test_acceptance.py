@@ -304,8 +304,8 @@ def test_criterion_09_synchronization_ordering_and_hull():
                     hull["lo"], hull["hi"] = float(freqs.min()), float(freqs.max())
                 assert freqs.min() >= hull["lo"] - 1e-12
                 assert freqs.max() <= hull["hi"] + 1e-12
-                for msg in sim.iter_in_flight():
-                    assert hull["lo"] - 1e-12 <= msg.payload <= hull["hi"] + 1e-12
+                payload = sim.messages("buffered")["payload"]
+                assert hull["lo"] - 1e-12 <= payload.min() and payload.max() <= hull["hi"] + 1e-12
                 hull["lo"] = min(hull["lo"], float(freqs.min()))
                 hull["hi"] = max(hull["hi"], float(freqs.max()))
 

@@ -281,7 +281,7 @@ def test_non_numeric_option_values_exit_code(tmp_path, capsys):
     assert "n = 'abc'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["metrics", "sync"])
+@pytest.mark.parametrize("command", ["metrics", "simulate", "sync"])
 def test_one_processing_node_exit_code(command, capsys):
     # one processing node makes no pair to measure or gossip with; this ended in a traceback
     assert main([command, "--family", "3DRMStandard", "--n", "1", "--s", "4"]) == 1

@@ -75,13 +75,26 @@ def snapshot(sim):
 
 class LoopedReference(ReferenceSimulation):
     """The reference engine behind the batched ``inject`` signature: one
-    scalar call per message, in array order."""
+    scalar call per message, in array order; and behind ``_enter`` and
+    ``messages``, which the sync task uses."""
 
     def inject(self, src, dst, payload=None):
         scalar = super().inject
         src, dst = np.atleast_1d(src).tolist(), np.atleast_1d(dst).tolist()
         payloads = [None] * len(src) if payload is None else np.broadcast_to(payload, len(src)).tolist()
         return sum(scalar(*msg) is not None for msg in zip(src, dst, payloads))
+
+    def _enter(self, src, dst, payload_bits):
+        """``Simulation._enter`` as scalar calls; payloads arrive as float64 bits."""
+        return self.inject(src, dst, np.asarray(payload_bits).view(np.float64))
+
+    def messages(self, view):
+        """``Simulation.messages`` columns, built from this engine's own records."""
+        msgs = list(self.iter_in_flight()) if view == "buffered" else getattr(self, f"{view}_this_step")
+        fields = np.array([(m.id, m.src, m.dst, m.injected_at, m.hops_taken) for m in msgs], dtype=np.int64)
+        columns = dict(zip(("id", "src", "dst", "injected_at", "hops"), fields.reshape(-1, 5).T))
+        columns["payload"] = np.array([np.nan if m.payload is None else m.payload for m in msgs], dtype=np.float64)
+        return columns
 
 
 def step_side_by_side(topo, config, drain_steps):

@@ -302,6 +302,17 @@ def test_run_experiment_dispatch_and_validation():
         run_experiment(ExperimentSpec("alpha-sweep", sweep_values=(2, 0.5, 2.0)))
 
 
+@pytest.mark.parametrize(
+    "experiment, values",
+    [("scaling", (8.5,)), ("scaling", (8, 8.5)), ("switch-sweep", (16.7,))],
+)
+def test_non_integral_sweep_value_is_refused(experiment, values):
+    # these were truncated: 8.5 wrote rows labelled 8, (8, 8.5) the size-8 point twice, 16.7 S = 16
+    spec = ExperimentSpec(experiment, families=("3DCA",), sweep_values=values, seeds_per_point=1)
+    with pytest.raises(ConfigError, match="must each be an exact int"):
+        run_experiment(spec)
+
+
 def test_experiment_csv_written_to_disk(tmp_path):
     out = tmp_path / "scaling.csv"
     spec = ExperimentSpec(

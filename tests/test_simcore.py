@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multitude_sim import TopologyConfig, build, remove_random_links
+from multitude_sim import ConfigError, TopologyConfig, build, remove_random_links, simcore
 from multitude_sim.metrics import average_hops, pn_hop_matrix
 from multitude_sim.simcore import (
     LOCAL,
@@ -13,6 +14,7 @@ from multitude_sim.simcore import (
     Simulation,
     compute_routing_tables,
     run,
+    run_many,
 )
 from oracles import pn_hops_oracle
 
@@ -259,3 +261,65 @@ def test_lanes_share_one_id_space():
         sim.inject(25, 25 + 9)  # a lane-0 PN cannot reach a lane-1 PN
     assert sim.inject(25 + 9, 25 + 10) == 1
     assert sim.lane_in_flight() == [0, 1]
+
+
+def test_every_lane_needs_two_processing_nodes():
+    # a lone processing node has no destination to draw; simulate printed a row of zeros
+    one = build(TopologyConfig("3DRMStandard", 1, 4, seed=0))
+    with pytest.raises(ConfigError, match="at least 2 processing nodes"):
+        run(one, SimConfig(horizon=5))
+    with pytest.raises(ConfigError, match="at least 2 processing nodes"):
+        run_many([(grid9(), SimConfig(horizon=5)), (one, SimConfig(horizon=5, seed=1))])
+
+
+def test_run_builds_no_message_records(monkeypatch):
+    # a step keeps its deliveries and drops as pool columns; only the record views build records
+    def refuse(columns):
+        raise AssertionError("a Message record was built")
+
+    monkeypatch.setattr(simcore, "_records", refuse)
+    stats = run(grid9(), SimConfig(injection_rate=0.5, channels=1, buffer_capacity=1, horizon=30, seed=3))
+    assert stats.dropped_buffer > 0
+
+
+def _record_fields(messages):
+    return [(m.id, m.src, m.dst, m.injected_at, m.hops_taken, m.payload) for m in messages]
+
+
+def _column_fields(columns):
+    fields = [columns[name].tolist() for name in ("id", "src", "dst", "injected_at", "hops")]
+    payloads = [None if np.isnan(p) else p for p in columns["payload"].tolist()]
+    return list(zip(*fields, payloads))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    routing=st.sampled_from(list(Routing)),
+    lanes=st.integers(1, 2),
+    buffer_capacity=st.sampled_from([1, 2, 100]),
+    ttl=st.sampled_from([2, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_message_columns_match_the_record_views(routing, lanes, buffer_capacity, ttl, seed):
+    topologies = [grid9(), build(TopologyConfig("3DRMStandard", 16, 16, seed=2))][:lanes]
+    config = SimConfig(injection_rate=0.3, channels=2, buffer_capacity=buffer_capacity, routing=routing, ttl=ttl)
+    sim = Simulation.lanes(topologies, config, [seed + lane for lane in range(lanes)])
+    first_pn = sim.topology.n_switch  # lane 0's PNs are its first 9
+    rng = np.random.default_rng(seed)
+    for _ in range(25):
+        sim.step()
+        # a caller's batches after the step, one with payloads and one without
+        for payload in (rng.random(4), None):
+            src = rng.integers(0, 9, size=4)
+            dst = (src + rng.integers(1, 9, size=4)) % 9
+            sim.inject(first_pn + src, first_pn + dst, payload)
+        views = {
+            "delivered": sim.delivered_this_step,
+            "dropped": sim.dropped_this_step,
+            "buffered": list(sim.iter_in_flight()),
+        }
+        for view, records in views.items():
+            columns = sim.messages(view)
+            assert columns["payload"].dtype == np.float64
+            assert not any(column.flags.writeable for column in columns.values())
+            assert _column_fields(columns) == _record_fields(records), view

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multitude_sim import ConfigError, Topology, TopologyConfig, build
+from multitude_sim import ConfigError, Topology, TopologyConfig, build, simcore
 from multitude_sim.simcore import Routing, SimConfig
 from multitude_sim.synctask import SYNC_THRESHOLDS, run_sync_task, trace_csv_rows
 
@@ -71,8 +71,8 @@ def test_convex_hull_confinement_including_payloads():
 
     def check(step, freqs, sim):
         assert freqs.min() >= lo - 1e-12 and freqs.max() <= hi + 1e-12
-        for msg in sim.iter_in_flight():
-            assert lo - 1e-12 <= msg.payload <= hi + 1e-12
+        payload = sim.messages("buffered")["payload"]
+        assert lo - 1e-12 <= payload.min() and payload.max() <= hi + 1e-12
 
     run_sync_task(topo, wander_cfg(2, horizon=300), initial_values=init, on_step=check)
 
@@ -103,6 +103,25 @@ def test_entry_drops_are_reemitted_once():
 
     run_sync_task(topo, cfg, on_step=check)
     assert max(lost) > 0
+
+
+def test_task_reads_columns_not_records(monkeypatch):
+    # one-message buffers and a 2-hop TTL give entry drops (0 hops) and commit
+    # drops; the task must run on the engine's columns without a Message record
+    def refuse(columns):
+        raise AssertionError("a Message record was built")
+
+    monkeypatch.setattr(simcore, "_records", refuse)
+    topo = build(TopologyConfig("3DRMStandard", 32, 32, seed=4))
+    cfg = SimConfig(routing=Routing.RANDOM_WANDERING, channels=1, buffer_capacity=1, horizon=60, ttl=2, seed=5)
+    drop_hops = []
+
+    def watch(step, freqs, sim):
+        drop_hops.extend(sim.messages("dropped")["hops"].tolist())
+
+    trace = run_sync_task(topo, cfg, on_step=watch)
+    assert 0 in drop_hops and max(drop_hops) > 0
+    assert len(trace.stddevs) == 61
 
 
 def test_ttl_drop_triggers_reemission():
