@@ -404,7 +404,8 @@ def load_config_file(path: str) -> dict[str, str]:
     """Flat ``key = value`` config file mirroring the CLI flags.
 
     Blank lines and '#' comments are skipped; keys are flag names without the
-    leading dashes.  CLI flags override file values.
+    leading dashes.  CLI flags override file values.  A key given twice
+    raises ConfigError.
     """
     values: dict[str, str] = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -414,5 +415,8 @@ def load_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"malformed config line (need 'key = value'): {raw!r}")
-        values[key.strip().replace("_", "-")] = value.strip()
+        key = key.strip().replace("_", "-")
+        if key in values:
+            raise ConfigError(f"config key {key!r} is given twice")
+        values[key] = value.strip()
     return values

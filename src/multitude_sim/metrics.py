@@ -6,18 +6,24 @@ switch are 1 hop apart and lattice neighbors are (Manhattan distance + 1)
 apart.  PNs are degree-1 leaves, so every metric reads the switch arcs that
 the Topology builds once (``Topology.switch_arcs``).  Hop counts read the
 switch hop matrix that the Topology computes on first use and keeps
-(``Topology.switch_hops``), as simcore's routing tables do.  Path lengths
-come from one float kernel, ``_relax``: a Bellman-Ford seeded with stub
-lengths whose frontier is the (source, switch) entries that improved in the
-round before, expanded over the switch's arcs, which hold every link in both
-directions.  Float rounding is monotone, so in any relaxation order the
-result is the left fold ``stub_i + l_1 + ... + stub_j`` of a Dijkstra from
-the PN, bit for bit.  Clustering and the degree histogram read the same arcs.
+(``Topology.switch_hops``), as simcore's routing tables do; the hop mean
+weighs each switch by its PN count.  Path lengths come from one float
+kernel, ``_relax``: a Bellman-Ford seeded with stub lengths whose frontier
+is the (source, switch) entries that improved in the round before, expanded
+over the switch's arcs, which hold every link in both directions.  Float
+rounding is monotone, so in any relaxation order the result is the left
+fold ``stub_i + l_1 + ... + stub_j`` of a Dijkstra from the PN, bit for
+bit.  The kernel yields a block of sources at a time, and the path-length
+mean folds each block as it comes, so neither mean holds an N x N or S x N
+array; ``pn_hop_matrix`` and ``pn_distance_matrix`` build the N x N
+matrices for callers that want them.  Clustering and the degree histogram
+read the same arcs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -62,28 +68,27 @@ class MetricsReport:
 _BLOCK = 32  # sources relaxed together; bounds the frontier's candidate arrays
 
 
-def _relax(topology: Topology, seeds: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _relax(topology: Topology, seeds: np.ndarray, values: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Frontier-sparse Bellman-Ford over the switch arcs, ``_BLOCK`` sources at a time.
 
-    Row k of the float [len(seeds), n_switch] result starts at ``values[k]``
-    on switch ``seeds[k]`` and is inf where unreachable.  A block is one flat
-    source-major vector; the frontier is the flat indices of the entries that
-    improved in the round before.  Arcs are grouped by head and every link is
-    stored both ways with one length, so the arcs into a switch list its
-    neighbours as tails: an entry expands over them to its index plus each
-    arc's ``tail - head``, and one ``np.minimum.at`` scatters the candidates.
-    The bits do not depend on the order: float rounding is monotone, so the
-    fixed point is the minimum over paths of their left-fold sums.
+    Yields (first source, float [block, n_switch] distances) per block of
+    sources: row k starts at ``values[k]`` on switch ``seeds[k]`` and is inf
+    where unreachable.  A block is one flat source-major vector; the frontier
+    is the flat indices of the entries that improved in the round before.
+    Arcs are grouped by head and every link is stored both ways with one
+    length, so the arcs into a switch list its neighbours as tails: an entry
+    expands over them to its index plus each arc's ``tail - head``, and one
+    ``np.minimum.at`` scatters the candidates.  The bits do not depend on the
+    order: float rounding is monotone, so the fixed point is the minimum over
+    paths of their left-fold sums.
     """
     tail, head, weight = topology.switch_arcs()
     s_count = topology.n_switch
     degree = topology.switch_degrees()
     end = np.cumsum(degree)  # the arcs into switch u end at end[u]
     shift = tail.astype(np.int64) - head  # flat step from an arc's head entry to its tail's
-    out = np.empty((len(seeds), s_count))
     for lo in range(0, len(seeds), _BLOCK):
-        block = out[lo : lo + _BLOCK]
-        block.fill(np.inf)
+        block = np.full((min(_BLOCK, len(seeds) - lo), s_count), np.inf)
         flat = block.reshape(-1)
         frontier = np.arange(len(block)) * s_count + seeds[lo : lo + _BLOCK]
         flat[frontier] = values[lo : lo + _BLOCK]
@@ -95,15 +100,16 @@ def _relax(topology: Topology, seeds: np.ndarray, values: np.ndarray) -> np.ndar
             before = flat.copy()
             np.minimum.at(flat, entry + shift[arc], flat[entry] + weight[arc])
             frontier = np.flatnonzero(flat < before)
-    return out
+        yield lo, block
 
 
 def pn_hop_matrix(topology: Topology) -> np.ndarray:
-    """Minimum hop counts between all processing-node pairs.
+    """Minimum hop counts between all processing-node pairs, as an [N, N] int32 array.
 
     Entry [i, j] is the number of switch nodes on a minimum-hop path between
     PNs i and j (PN i is node ``n_switch + i``, in ``pn_switches()`` order),
     -1 when unreachable, 0 on the diagonal: switch link count plus one.
+    ``average_hops`` reads the [S, S] switch hop matrix instead of this one.
     """
     pn_switch = topology.pn_switches()
     hops = topology.switch_hops()[np.ix_(pn_switch, pn_switch)]
@@ -117,20 +123,31 @@ def average_hops(topology: Topology) -> tuple[float, int]:
 
     Returns (mean, number of unreachable unordered pairs); unreachable pairs
     only appear after fault injection.  The mean is NaN if nothing is
-    reachable.
+    reachable.  It is the mean of ``pn_hop_matrix``'s positive entries, read
+    off the switch hop matrix with each switch weighted by its PN count:
+    the hop sum and the pair count are exact integers, so their quotient is
+    that mean bit for bit.
     """
     n = topology.n_processing
     if n < 2:
         raise ConfigError("average_hops needs at least 2 processing nodes")
-    hops = pn_hop_matrix(topology)  # 0 only on the diagonal
-    unreachable = int((hops < 0).sum()) // 2
-    if not (hops > 0).any():
+    s_count = topology.n_switch
+    pns = np.bincount(topology.pn_switches(), minlength=s_count)
+    hops = topology.switch_hops()
+    reached = total = 0  # over ordered PN pairs, each PN with itself included
+    for lo in range(0, s_count, _BLOCK):
+        rows = hops[lo : lo + _BLOCK]
+        reach = rows < s_count
+        reached += int(pns[lo : lo + _BLOCK] @ (reach @ pns))
+        total += int(pns[lo : lo + _BLOCK] @ (np.where(reach, rows + 1, 0) @ pns))
+    unreachable = (n * n - reached) // 2
+    if reached == n:  # a PN with itself is 1 switch away, and nothing else is reachable
         return float("nan"), unreachable
-    return float(hops[hops > 0].mean()), unreachable
+    return (total - n) / (reached - n), unreachable
 
 
-def pn_distance_matrix(topology: Topology) -> np.ndarray:
-    """Euclidean-weighted shortest path lengths between all PN pairs (inf if unreachable).
+def _pn_distance_rows(topology: Topology) -> Iterator[tuple[int, np.ndarray]]:
+    """Yields (first PN, [block, N] rows of ``pn_distance_matrix``), the diagonal not yet zeroed.
 
     The kernel runs from each PN i seeded at its switch with its stub; [i, j] adds j's stub.
     """
@@ -140,23 +157,47 @@ def pn_distance_matrix(topology: Topology) -> np.ndarray:
     stub = hi >= s_count  # every PN is a leaf, so these are its links, one each
     stubs = np.empty(topology.n_processing)
     stubs[hi[stub] - s_count] = length[stub]
-    dist = _relax(topology, pn_switch, stubs)[:, pn_switch] + stubs
+    for lo, block in _relax(topology, pn_switch, stubs):
+        yield lo, block[:, pn_switch] + stubs
+
+
+def pn_distance_matrix(topology: Topology) -> np.ndarray:
+    """Euclidean-weighted shortest path lengths between all PN pairs, as an [N, N]
+    float array (inf if unreachable).  ``average_path_length`` folds the same
+    rows block by block instead of holding this matrix."""
+    dist = np.empty((topology.n_processing,) * 2)
+    for lo, rows in _pn_distance_rows(topology):
+        dist[lo : lo + len(rows)] = rows
     np.fill_diagonal(dist, 0.0)
     return dist
 
 
 def average_path_length(topology: Topology) -> float:
-    """Mean weighted shortest path over unordered distinct PN pairs, stubs included."""
+    """Mean weighted shortest path over unordered distinct PN pairs, stubs included.
+
+    The upper triangle of ``pn_distance_matrix`` is folded from the left in
+    row order, one block of rows at a time: a block's running sum starts from
+    the one before, so it is the left fold of the whole triangle, bit for
+    bit (``np.sum`` would be pairwise).  The first non-finite pair in row
+    order raises DisconnectedTopologyError.
+    """
     n = topology.n_processing
     if n < 2:
         raise ConfigError("average_path_length needs at least 2 processing nodes")
-    rows, cols = np.triu_indices(n, 1)
-    upper = pn_distance_matrix(topology)[rows, cols]
-    broken = np.flatnonzero(~np.isfinite(upper))
-    if len(broken):
-        i, j = rows[broken[0]], cols[broken[0]]
-        raise DisconnectedTopologyError(f"processing nodes {i} and {j} have no connecting path")
-    return np.cumsum(upper)[-1] / len(upper)  # row-order left fold; np.sum is pairwise
+    total = np.float64(0.0)  # 0.0 + x is x, so the first block's fold starts at its first pair
+    for lo, block in _pn_distance_rows(topology):
+        in_upper = np.arange(n) > np.arange(lo, lo + len(block))[:, None]
+        upper = block[in_upper]  # row-major, so in row order
+        broken = np.flatnonzero(~np.isfinite(upper))
+        if len(broken):
+            rows, cols = np.nonzero(in_upper)
+            raise DisconnectedTopologyError(
+                f"processing nodes {lo + rows[broken[0]]} and {cols[broken[0]]} have no connecting path"
+            )
+        if len(upper):
+            upper[0] += total
+            total = np.cumsum(upper)[-1]
+    return total / (n * (n - 1) // 2)
 
 
 def clustering_coefficient(topology: Topology) -> float:

@@ -8,9 +8,9 @@ Each step runs three phases:
    in message-id order;
 2. forwarding -- every switch dequeues up to C messages; each is delivered
    if its destination hangs off this switch, otherwise sent toward the next
-   hop (shortest-path table, read off the topology's switch hop matrix
-   ``Topology.switch_hops``, or a uniformly random switch neighbor) into a
-   staging area;
+   hop (shortest-path table by destination switch, read off the topology's
+   switch hop matrix ``Topology.switch_hops``, or a uniformly random switch
+   neighbor) into a staging area;
 3. commit -- staged messages enter their destination buffers in message-id
    order, hop counters increment, and messages whose hop count exceeds the
    TTL are dropped.
@@ -153,15 +153,16 @@ _TABLE_BLOCK = 64  # destination switches per block; bounds the [arcs, block] ar
 
 
 def compute_routing_tables(topology: Topology) -> np.ndarray:
-    """Next-hop table: entry [switch, pn_index] is the neighbor switch id.
+    """Next-hop table by destination switch: int32 [S, S], entry [switch, dest switch]
+    is the neighbor switch id.
 
     From the switch hop matrix (``Topology.switch_hops``) a switch picks
-    its lowest-id neighbor one hop closer to the destination PN's switch,
+    its lowest-id neighbor one hop closer to the destination switch,
     reading the topology's switch arcs.
-    LOCAL marks the destination's own switch, UNREACHABLE a missing path
-    (possible after fault injection).
+    LOCAL marks the destination itself, UNREACHABLE a missing path
+    (possible after fault injection).  A message to PN j reads column
+    ``pn_switches()[j]``; the table does not grow with the PN count.
     """
-    pn_switch = topology.pn_switches()
     s_count = topology.n_switch
     hops = topology.switch_hops()
     # arcs sorted by (head, tail); read swapped, they are grouped by switch
@@ -175,7 +176,7 @@ def compute_routing_tables(topology: Topology) -> np.ndarray:
         best = np.minimum.reduceat(closer, starts, axis=0)
         table[sw[starts], lo : lo + _TABLE_BLOCK] = np.where(best < s_count, best, UNREACHABLE)
     np.fill_diagonal(table, LOCAL)
-    return table[:, pn_switch]
+    return table
 
 
 # initial ring width cap; the paper's buffer capacity (M = 100) never widens it
@@ -209,10 +210,12 @@ class Simulation:
     processing nodes follow all switches and the PNs of lanes 0..k-1, so
     node ids are those of the disjoint union of the topologies.  That union
     is ``topology``, built at set-up; the neighbour lists, PN attachments and
-    routing table are read from it.  Each lane has its own generator, its
-    own TTL (100 * its switch count when unset) and its own counters; one
-    step serves every lane with the same array operations, and a lane's
-    outcome is exactly that of a simulation of its topology alone.  The
+    routing table are read from it.  The routing table is ``[S, S]``: a
+    message looks up its next hop by its destination switch (pool row
+    ``_DSW``).  Each lane has its own generator, its own TTL (100 * its
+    switch count when unset) and its own counters; one step serves every
+    lane with the same array operations, and a lane's outcome is exactly
+    that of a simulation of its topology alone.  The
     public counters (``injected``, ``delivered``, ...) are totals over the
     lanes; ``stats(lane)`` gives one lane's statistics.
 
@@ -280,9 +283,9 @@ class Simulation:
         self.routing_table = None
         if config.routing is Routing.SHORTEST_PATH:
             self.routing_table = compute_routing_tables(union)
-            # flat next hops, entry _route_row[sw] + dst; intp keeps sort keys from overflowing
-            self._next_hop = self.routing_table.astype(np.intp).ravel()
-            self._route_row = self._switches * n_count - s_count
+            # flat next hops, entry _route_row[sw] + destination switch
+            self._next_hop = self.routing_table.ravel()
+            self._route_row = self._switches * s_count
         self._stays = self.routing_table is None and len(isolated) > 0
 
         # per-lane generators, injection sources (generator, first PN id, PN count) and TTLs
@@ -479,7 +482,7 @@ class Simulation:
         pool = np.zeros((7, size), dtype=np.int64)
         pool[:, :old] = self._pool
         self._pool = pool
-        self._id, _, self._dst, _, self._hops, self._dsw, _ = pool
+        self._id, _, _, _, self._hops, self._dsw, _ = pool
         free = np.zeros(size, dtype=np.intp)
         free[: self._top] = self._free[: self._top]
         free[self._top : self._top + size - old] = np.arange(size - 1, old - 1, -1)
@@ -553,7 +556,7 @@ class Simulation:
         rows[_SRC], rows[_DST], rows[_BORN], rows[_HOPS] = src, dst, self.step_index, 1
         rows[_DSW], rows[_PAYLOAD] = self._pn_switch[dst - s_count], payload
         if self.routing_table is not None:
-            lost = self._next_hop[self._route_row[sw] + dst] == UNREACHABLE
+            lost = self._next_hop[self._route_row[sw] + rows[_DSW]] == UNREACHABLE
             if np.count_nonzero(lost):
                 np.add.at(self._unreachable, lane[lost], 1)
                 kept = ~lost
@@ -636,7 +639,8 @@ class Simulation:
             pick = (self._draw(served, sw) * self._degree[sw]).astype(np.intp)
             dest = self._neighbors[self._first_neighbor[sw] + pick]
         else:
-            dest = self._next_hop[self._route_row[sw] + self._dst[slots]]
+            # widened to intp, so that the commit's sort keys cannot overflow
+            dest = self._next_hop[self._route_row[sw] + self._dsw[slots]].astype(np.intp)
             lost = dest == UNREACHABLE
             if np.count_nonzero(lost):
                 np.add.at(self._unreachable, self._lane_of[sw[lost]], 1)

@@ -364,6 +364,19 @@ class Topology:
 
     def validate(self, require_connected: bool = True) -> None:
         """Raise InvariantError if any structural invariant is violated."""
+        self._validate_geometry()
+        if self.family == "3DRMRealistic":
+            cap = self.k_max if self.k_max is not None else 0
+            worst = int(self.switch_degrees().max(initial=0))
+            if worst > cap:
+                raise InvariantError(f"switch degree {worst} exceeds k_max={cap}")
+        if require_connected and _switch_components(self)[0] > 1:
+            raise InvariantError("switch subgraph is not connected")
+
+    def _validate_geometry(self) -> None:
+        """Raise InvariantError unless every node lies in the unit cube (at z = 0 for
+        2DCA), every lattice stub has length 0.01 and every other link caches the
+        length its end positions give."""
         pos = self._positions
         if np.any(pos < -1e-12) or np.any(pos > 1 + 1e-12):
             raise InvariantError("node positions must lie in the unit cube")
@@ -384,13 +397,6 @@ class Topology:
                 raise InvariantError(
                     f"link {(a, b)} caches length {cached}, geometry says {true_len}"
                 )
-        if self.family == "3DRMRealistic":
-            cap = self.k_max if self.k_max is not None else 0
-            worst = int(self.switch_degrees().max(initial=0))
-            if worst > cap:
-                raise InvariantError(f"switch degree {worst} exceeds k_max={cap}")
-        if require_connected and _switch_components(self)[0] > 1:
-            raise InvariantError("switch subgraph is not connected")
 
 
 def _switch_components(topology: Topology) -> tuple[int, np.ndarray]:
@@ -418,14 +424,16 @@ def _switch_components(topology: Topology) -> tuple[int, np.ndarray]:
 
 
 def _cumulative_weights(distances: np.ndarray, alpha: float) -> np.ndarray:
-    """Running sums of distance^(-alpha) along the last axis (a read-only view when alpha is 0).
+    """Running sums of distance^(-alpha) along the last axis, written over ``distances``
+    (which stays untouched when alpha is 0: the sums are then a read-only arange view).
 
     A row of a 2-D table is the same left fold as a cumsum of that row alone,
     so a table built once draws exactly what per-pick cumsums would.
     """
     if alpha == 0.0:
         return np.broadcast_to(np.arange(1.0, distances.shape[-1] + 1.0), distances.shape)
-    return np.cumsum(distances ** -alpha, axis=-1)
+    distances **= -alpha  # the same power as ``distances ** -alpha``, in place
+    return np.cumsum(distances, axis=-1, out=distances)
 
 
 def _draw(cum: np.ndarray, rng: np.random.Generator, size: int | None = None):
@@ -531,15 +539,38 @@ def _first_repeat(rows: np.ndarray) -> int:
     return int(later.min()) if len(later) else -1
 
 
+_ROW_BLOCK = 64  # rows per block of a build's distance tables; bounds the [block, S] temporaries
+
+
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[len(a), len(b)] squared distances between rows, added x, y, z from the
-    left as a ``sum`` over the coordinate axis does, one axis at a time."""
-    out = np.zeros((len(a), len(b)))
+    """Squared distances between the broadcast rows of ``[..., 3]`` arrays ``a`` and
+    ``b``, added x, y, z from the left as a ``sum`` over the coordinate axis does,
+    one axis at a time."""
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
     for k in range(3):
-        d = a[:, None, k] - b[None, :, k]
+        d = a[..., k] - b[..., k]
         d *= d
         out += d
     return out
+
+
+def _switch_weights(sw_pos: np.ndarray, alpha: float) -> np.ndarray:
+    """[S, S-1] running l^-alpha sums: row src weighs the other switches in id order,
+    so candidate idx is switch idx + (idx >= src).
+
+    Built in place, ``_ROW_BLOCK`` rows at a time, so no [S, S] distance matrix
+    is held; a row is the fold it would be in a table built at once.
+    """
+    s = len(sw_pos)
+    if alpha == 0.0:
+        return _cumulative_weights(np.broadcast_to(1.0, (s, s - 1)), alpha)
+    table = np.empty((s, s - 1))
+    for lo in range(0, s, _ROW_BLOCK):
+        rows = table[lo : lo + _ROW_BLOCK]
+        d2 = _squared_distances(sw_pos[lo : lo + _ROW_BLOCK, None], sw_pos)
+        np.sqrt(d2[np.arange(s) != np.arange(lo, lo + len(rows))[:, None]].reshape(rows.shape), out=rows)
+        _cumulative_weights(rows, alpha)
+    return table
 
 
 def build_random_multitude(config: TopologyConfig) -> Topology:
@@ -567,17 +598,15 @@ def build_random_multitude(config: TopologyConfig) -> Topology:
     sw_pos = _distinct_positions(rng, s, pn_pos)
     positions = np.vstack([sw_pos, pn_pos])
 
-    # each processing node attaches to its nearest switch
-    d2 = _squared_distances(pn_pos, sw_pos)
-    nearest = d2.argmin(axis=1)
+    # each processing node attaches to its nearest switch, a block of them at a time
+    nearest = np.concatenate([
+        _squared_distances(pn_pos[lo : lo + _ROW_BLOCK, None], sw_pos).argmin(axis=1) for lo in range(0, n, _ROW_BLOCK)
+    ])
 
     src_ids: list[int] = []
     dst_ids: list[int] = []
-    lengths: list[float] = []
     if s > 1:
-        dist = np.sqrt(_squared_distances(sw_pos, sw_pos))
-        # row src weighs the other switches in id order: candidate idx is switch idx + (idx >= src)
-        cdf = list(_cumulative_weights(dist[~np.eye(s, dtype=bool)].reshape(s, s - 1), alpha))
+        cdf = list(_switch_weights(sw_pos, alpha))
 
         attempts = round(config.k_s * s) if config.raw_attempt_count else round(config.k_s * s / 2)
         degree = [0] * s
@@ -598,21 +627,19 @@ def build_random_multitude(config: TopologyConfig) -> Topology:
             linked.update(((src, dst), (dst, src)))
             src_ids.append(src)
             dst_ids.append(dst)
-            lengths.append(dist.item(src, dst))
             degree[src] += 1
             degree[dst] += 1
 
+    # stubs, then switch links in attempt order; lengths from the positions, as the tables' are
+    a = np.concatenate([nearest, np.array(src_ids, dtype=np.int64)])
+    b = np.concatenate([s + np.arange(n), np.array(dst_ids, dtype=np.int64)])
     topo = Topology(
         config.family,
         config.seed,
         s,
         n,
         positions,
-        (
-            np.concatenate([nearest, np.array(src_ids, dtype=np.int64)]),
-            np.concatenate([s + np.arange(n), np.array(dst_ids, dtype=np.int64)]),
-            np.concatenate([np.sqrt(d2[np.arange(n), nearest]), lengths]),
-        ),
+        (a, b, np.sqrt(_squared_distances(positions[a], positions[b]))),
         alpha=alpha,
         k_s=config.k_s,
         k_max=k_max,
@@ -736,10 +763,15 @@ def import_edge_list(text: str) -> Topology:
     carry the generation parameters, and they are not restored: alpha is the
     family default (a non-default alpha is lost), k_s is None, and k_max is
     10 for 3DRMRealistic and None otherwise (a v2 header that carries all
-    three is planned in ROADMAP.md).  A malformed or non-numeric row raises
-    ConfigError, a processing node not wired to exactly one switch
-    InvariantError.  A repeated node id raises ConfigError, a repeated link
-    (in either direction) InvariantError.
+    three is planned in ROADMAP.md).  A malformed or non-numeric row, or a
+    node kind other than S or P, raises ConfigError, a processing node not
+    wired to exactly one switch InvariantError.  A repeated node id raises
+    ConfigError, a repeated link (in either direction) InvariantError.  The
+    geometry is checked as ``Topology.validate`` checks it, with
+    InvariantError: positions in the unit cube (z = 0 for 2DCA), lattice
+    stubs of length 0.01 and every other length matching its end positions.
+    The degree cap and connectivity are not checked: v1 does not carry k_max,
+    and a faulted fabric is disconnected.
     """
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith(EDGE_LIST_HEADER):
@@ -778,6 +810,9 @@ def import_edge_list(text: str) -> Topology:
             raise ConfigError(f"non-numeric field in edge-list row: {line!r}") from exc
         raise ConfigError(f"malformed edge-list row: {line!r}")
 
+    unknown = sorted(set(kinds.values()) - {"S", "P"})
+    if unknown:
+        raise ConfigError(f"unknown node kind {unknown[0]!r} in edge list; expected S or P")
     total = len(kinds)
     if node_rows != total:
         raise ConfigError("edge list repeats a node id")
@@ -787,7 +822,7 @@ def import_edge_list(text: str) -> Topology:
     if any(kinds[i] != "S" for i in range(n_switch)):
         raise ConfigError("switch node ids must precede processing node ids")
     positions = np.array([coords[i] for i in range(total)])
-    return Topology(
+    topo = Topology(
         family,
         seed,
         n_switch,
@@ -798,3 +833,5 @@ def import_edge_list(text: str) -> Topology:
         k_s=None,
         k_max=10 if family == "3DRMRealistic" else None,
     )
+    topo._validate_geometry()
+    return topo

@@ -248,8 +248,8 @@ class ReferenceSimulation:
         self.config = config
         self.ttl = config.ttl if config.ttl is not None else 100 * topology.n_switch
         self.rng = np.random.default_rng(config.seed)
-        self.routing_table = (
-            compute_routing_tables(topology)
+        self.routing_table = (  # [switch, PN index]
+            compute_routing_tables(topology)[:, topology.pn_switches()]
             if config.routing is Routing.SHORTEST_PATH
             else None
         )

@@ -228,6 +228,8 @@ def test_experiment_rejects_deletions_from_config_file(tmp_path, capsys):
         ("sed = 5", "config key 'sed' names no flag of generate"),
         ("steps = 5", "config key 'steps' names no flag of generate"),  # a flag of other commands
         ("raw-attempt-count = ture", "raw-attempt-count = 'ture' is not a boolean"),
+        ("n = 16", "config key 'n' is given twice"),  # the last one was kept
+        ("raw_attempt_count = 1\nraw-attempt-count = 0", "config key 'raw-attempt-count' is given twice"),
     ],
 )
 def test_config_file_mistakes_exit_code(tmp_path, capsys, line, message):

@@ -1,11 +1,13 @@
 """Hop, path-length, and clustering metrics against independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from multitude_sim import Topology, TopologyConfig, build, remove_random_links
+from multitude_sim import CA_FAMILIES, FAMILIES, Topology, TopologyConfig, build, remove_random_links
 from multitude_sim.metrics import (
     DisconnectedTopologyError,
     average_hops,
@@ -229,3 +231,67 @@ def test_compute_metrics_report_row():
     assert fields[4] == "1.8"
     assert float(fields[6]) == pytest.approx(report.avg_hops)
     assert report.unreachable_pairs == 0
+
+
+def _hop_mean_over_matrix(topo):
+    # average_hops as the mean over pn_hop_matrix, as it was computed before it read the switch hops
+    hops = pn_hop_matrix(topo)
+    unreachable = int((hops < 0).sum()) // 2
+    if not (hops > 0).any():
+        return float("nan"), unreachable
+    return float(hops[hops > 0].mean()), unreachable
+
+
+def _path_mean_over_matrix(topo):
+    # average_path_length as a row-order left fold of pn_distance_matrix's upper triangle
+    rows, cols = np.triu_indices(topo.n_processing, 1)
+    upper = pn_distance_matrix(topo)[rows, cols]
+    broken = np.flatnonzero(~np.isfinite(upper))
+    if len(broken):
+        raise DisconnectedTopologyError(
+            f"processing nodes {rows[broken[0]]} and {cols[broken[0]]} have no connecting path"
+        )
+    return np.cumsum(upper)[-1] / len(upper)
+
+
+def _outcome(mean, topo):
+    """repr of the value (type and bits, NaN included) or the DisconnectedTopologyError message."""
+    try:
+        return repr(mean(topo))
+    except DisconnectedTopologyError as exc:
+        return f"DisconnectedTopologyError: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(2, 48),
+    s=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+    deletions=st.integers(0, 80),
+)
+@example(family="2DCA", n=2, s=4, seed=3, deletions=80)  # no switch link left: NaN hop mean
+@example(family="3DRMStandard", n=48, s=5, seed=1, deletions=3)  # N > S, several PNs per switch
+@example(family="3DRMLocal", n=3, s=40, seed=2, deletions=40)  # N < S, most switches bare
+def test_means_equal_the_matrix_formulas_bit_for_bit(family, n, s, seed, deletions):
+    # the means read the switch graph and never build the N x N matrices; they must
+    # still give the matrix formulas' value, NaN, unreachable count and error message
+    if family in CA_FAMILIES:  # a lattice has one PN per switch and a square or cube count
+        n = s = (2 + s % 5) ** 2 if family == "2DCA" else (2 + s % 2) ** 3
+    topo = build(TopologyConfig(family, n, s, seed=seed))
+    topo = remove_random_links(topo, min(deletions, len(topo.switch_link_pairs())), np.random.default_rng(seed))
+    assert repr(average_hops(topo)) == repr(_hop_mean_over_matrix(topo))
+    assert _outcome(average_path_length, topo) == _outcome(_path_mean_over_matrix, topo)
+
+
+def test_metrics_memory_follows_the_switch_graph():
+    # 4096 PNs on 512 switches: one N x N float matrix would take 134 MB, an S x N one 17 MB
+    topo = build(TopologyConfig("3DRMStandard", 4096, 512, seed=0))
+    tracemalloc.start()
+    try:
+        report = compute_metrics(topo)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.unreachable_pairs == 0 and math.isfinite(report.avg_path_length)
+    assert peak < 32e6

@@ -1,5 +1,7 @@
 """Engine behavior: routing tables, stepping, accounting, determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ def grid9():
 
 def test_routing_table_tie_break_lowest_id():
     topo = grid9()
-    table = compute_routing_tables(topo)
+    table = compute_routing_tables(topo)[:, topo.pn_switches()]
     # switch 4 is the lattice center; toward the corner PN at switch 0 both
     # neighbors 1 and 3 are Manhattan-optimal, and the lower id must win
     assert table[4, 0] == 1
@@ -37,7 +39,7 @@ def test_routing_table_tie_break_lowest_id():
 
 def test_routing_table_walk_matches_bfs_distance():
     topo = build(TopologyConfig("3DRMStandard", 32, 32, seed=5))
-    table = compute_routing_tables(topo)
+    table = compute_routing_tables(topo)[:, topo.pn_switches()]
     oracle = pn_hops_oracle(topo)
     for (src, dst), hops in oracle.items():
         if src == dst:
@@ -51,10 +53,23 @@ def test_routing_table_walk_matches_bfs_distance():
         assert transitions == hops - 1  # hops counts switches, walk counts moves
 
 
+def test_shortest_path_run_memory_follows_the_switch_graph():
+    # 4096 PNs on 512 switches: an S x N next-hop table and its intp copy alone took 25 MB
+    topo = build(TopologyConfig("3DRMStandard", 4096, 512, seed=0))
+    tracemalloc.start()
+    try:
+        stats = run(topo, SimConfig(horizon=20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.delivered > 0 and stats.in_flight_at_end == 0
+    assert peak < 32e6
+
+
 def test_routing_table_marks_unreachable_after_faults():
     topo = build(TopologyConfig("2DCA", 16, 16, seed=3))
     faulted = remove_random_links(topo, len(topo.switch_link_pairs()), np.random.default_rng(0))
-    table = compute_routing_tables(faulted)
+    table = compute_routing_tables(faulted)[:, faulted.pn_switches()]
     assert table[0, 15] == UNREACHABLE
     assert table[0, 0] == LOCAL
 

@@ -398,6 +398,56 @@ def test_import_rejects_repeated_rows():
             import_edge_list(text)
 
 
+def _edited_export(family, edit):
+    """A 16-node export of ``family`` with ``edit(lines)`` applied to its lines."""
+    lines = export_edge_list(build(TopologyConfig(family, 16, 16, seed=3))).splitlines()
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _set_field(lines, prefix, index, value):
+    """Set field ``index`` of the first line starting with ``prefix``."""
+    at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    parts = lines[at].split()
+    parts[index] = value
+    lines[at] = " ".join(parts)
+
+
+def test_import_rejects_unknown_node_kind():
+    # a PN row of kind Q was read as a processing node
+    text = _edited_export("3DRMStandard", lambda lines: _set_field(lines, "N 20 ", 2, "Q"))
+    with pytest.raises(ConfigError, match="unknown node kind 'Q'"):
+        import_edge_list(text)
+
+
+@pytest.mark.parametrize(
+    "family, prefix, index, value, message",
+    [
+        ("3DRMStandard", "N 20 ", 3, "1.25", "unit cube"),
+        ("3DRMStandard", "N 3 ", 5, "-0.5", "unit cube"),
+        ("2DCA", "N 5 ", 5, "0.5", "z = 0"),
+        ("2DCA", "L 0 16 ", 3, "0.02", r"lattice stub \(0, 16\) must have length 0.01"),
+        ("3DRMStandard", "L 0 1 ", 3, "9.5", r"link \(0, 1\) caches length 9.5"),
+        ("2DCA", "L 0 1 ", 3, "0.5", r"link \(0, 1\) caches length 0.5"),
+    ],
+)
+def test_import_checks_geometry(family, prefix, index, value, message):
+    # each of these imported and gave metrics from the edited numbers
+    text = _edited_export(family, lambda lines: _set_field(lines, prefix, index, value))
+    with pytest.raises(InvariantError, match=message):
+        import_edge_list(text)
+
+
+def test_import_checks_neither_degree_cap_nor_connectivity():
+    # v1 carries no k_max (import assumes 10), and a faulted fabric is disconnected
+    dense = build(TopologyConfig("3DRMRealistic", 32, 32, k_s=12.0, k_max=14, seed=2))
+    faulted = remove_random_links(dense, 120, rng(2))
+    assert dense.switch_degrees().max() > 10 and switch_component_count(faulted) > 1
+    for topo in (dense, faulted):
+        text = export_edge_list(topo)
+        assert export_edge_list(import_edge_list(text)) == text
+
+
 def test_import_rejects_processing_node_on_two_switches():
     text = (
         "# multitude-topology v1 family=3DRMStandard seed=0\n"
