@@ -24,9 +24,9 @@ messages enter as one batch, through the entry routine that
 and its deliveries and drops stay columns that ``Simulation.messages`` reads.
 Everything is driven by one seeded generator consumed in fixed id order, so
 a (topology, config) pair always produces identical statistics.  Runs that
-differ only in topology and seed can share one simulation as lanes over
-the disjoint union of their topologies (``run_many``); each lane keeps its
-own generator and gets the statistics it would get alone.
+differ only in topology and seed can share one simulation as lanes
+(``run_many``); each lane reads its own topology's arrays and routing
+table, keeps its own generator and gets the statistics it would get alone.
 """
 
 from __future__ import annotations
@@ -179,6 +179,21 @@ def compute_routing_tables(topology: Topology) -> np.ndarray:
     return table
 
 
+def _flat_routing(topologies: list[Topology], starts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's ``compute_routing_tables``, shifted to global switch ids and
+    stored flat, and each switch's row offset: the next hop from switch ``sw``
+    toward destination switch ``d`` of its lane is ``next_hop[route_row[sw] + d]``."""
+    tables, rows, base = [], [], 0
+    for topology, lo in zip(topologies, starts):
+        n = topology.n_switch
+        table = compute_routing_tables(topology)
+        np.add(table, lo, out=table, where=table >= 0)
+        tables.append(table.ravel())
+        rows.append(np.arange(base - lo, base - lo + n * n, n))
+        base += n * n
+    return np.concatenate(tables), np.concatenate(rows)
+
+
 # initial ring width cap; the paper's buffer capacity (M = 100) never widens it
 _RING_WIDTH = 128
 
@@ -207,12 +222,14 @@ class Simulation:
     A simulation runs one or more independent lanes in lockstep:
     ``Simulation(topology, config)`` has one, ``Simulation.lanes(...)`` one
     per topology.  Lane k's switches follow those of lanes 0..k-1, and its
-    processing nodes follow all switches and the PNs of lanes 0..k-1, so
-    node ids are those of the disjoint union of the topologies.  That union
-    is ``topology``, built at set-up; the neighbour lists, PN attachments and
-    routing table are read from it.  The routing table is ``[S, S]``: a
-    message looks up its next hop by its destination switch (pool row
-    ``_DSW``).  Each lane has its own generator, its own TTL (100 * its
+    processing nodes follow all switches and the PNs of lanes 0..k-1.  At
+    set-up the neighbour lists, degrees and PN attachments are each lane's
+    own, shifted to these ids and concatenated; no union topology is built.
+    Under shortest-path routing the lanes' ``[S_k, S_k]`` tables are stored
+    flat (``_flat_routing``); a message looks up its next hop by its
+    destination switch (pool row ``_DSW``), which lies in its own lane, so
+    no cross-lane entry is kept.
+    Each lane has its own generator, its own TTL (100 * its
     switch count when unset) and its own counters; one step serves every
     lane with the same array operations, and a lane's outcome is exactly
     that of a simulation of its topology alone.  The
@@ -260,9 +277,8 @@ class Simulation:
         if min(pns) < 2:
             raise ConfigError("a simulation needs at least 2 processing nodes in every lane")
         self.config = config
-        self.topology = union = _disjoint_union(topologies)
         sizes = [t.n_switch for t in topologies]
-        s_count, n_count = union.n_switch, union.n_processing
+        s_count, n_count = sum(sizes), sum(pns)
         self._s_count = s_count
         self._switches = np.arange(s_count)
         # lane k's switches come after those of lanes 0..k-1, and so do its PNs after all switches
@@ -270,23 +286,20 @@ class Simulation:
         starts = self._lane_start.tolist()
         self._lane_bounds = [(lo, lo + n) for lo, n in zip(starts, sizes)]
         self._lane_of = np.repeat(np.arange(len(topologies)), sizes)
-        self._pn_switch = union.pn_switches()
+        self._pn_switch = np.concatenate([t.pn_switches() + lo for t, lo in zip(topologies, starts)])
 
         # wandering takes neighbour int(draw * degree) of the switch's ascending
         # list; an isolated switch lists itself, so its messages stay put
-        tail, _, _ = union.switch_arcs()
-        degree = union.switch_degrees()
+        tail = np.concatenate([t.switch_arcs()[0] + lo for t, lo in zip(topologies, starts)])
+        degree = np.concatenate([t.switch_degrees() for t in topologies])
         isolated = np.flatnonzero(degree == 0)
         self._neighbors = np.insert(tail, (np.cumsum(degree) - degree)[isolated], isolated).astype(np.intp)
         self._degree = np.maximum(degree, 1)
         self._first_neighbor = np.cumsum(self._degree) - self._degree
-        self.routing_table = None
+        self._next_hop = None
         if config.routing is Routing.SHORTEST_PATH:
-            self.routing_table = compute_routing_tables(union)
-            # flat next hops, entry _route_row[sw] + destination switch
-            self._next_hop = self.routing_table.ravel()
-            self._route_row = self._switches * s_count
-        self._stays = self.routing_table is None and len(isolated) > 0
+            self._next_hop, self._route_row = _flat_routing(topologies, starts)
+        self._stays = self._next_hop is None and len(isolated) > 0
 
         # per-lane generators, injection sources (generator, first PN id, PN count) and TTLs
         self._rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -555,7 +568,7 @@ class Simulation:
         self._next_msg_id += count
         rows[_SRC], rows[_DST], rows[_BORN], rows[_HOPS] = src, dst, self.step_index, 1
         rows[_DSW], rows[_PAYLOAD] = self._pn_switch[dst - s_count], payload
-        if self.routing_table is not None:
+        if self._next_hop is not None:
             lost = self._next_hop[self._route_row[sw] + rows[_DSW]] == UNREACHABLE
             if np.count_nonzero(lost):
                 np.add.at(self._unreachable, lane[lost], 1)
@@ -626,7 +639,7 @@ class Simulation:
         forwarding.  A message served at an isolated switch goes back to the
         tail of its own buffer with its hop count unchanged.
         """
-        occ, head, wandering = self._occ, self._head, self.routing_table is None
+        occ, head, wandering = self._occ, self._head, self._next_hop is None
 
         # phase 2: forwarding
         served = np.minimum(occ, self.config.channels)
@@ -713,33 +726,11 @@ class Simulation:
 DRAIN_CAP_FACTOR = 50
 
 
-def _disjoint_union(parts: Sequence[Topology]) -> Topology:
-    """One topology holding ``parts`` side by side: their switches in order,
-    then their processing nodes in order, each part's ids kept in sequence."""
-    if len(parts) == 1:
-        return parts[0]
-    s_total = sum(t.n_switch for t in parts)
-    ends, lengths = [], []
-    switch_base, pn_base = 0, s_total
-    for t in parts:
-        lo, hi, length = t.link_arrays()
-        ends += [np.where(ids < t.n_switch, ids + switch_base, ids + pn_base - t.n_switch) for ids in (lo, hi)]
-        lengths.append(length)
-        switch_base += t.n_switch
-        pn_base += t.n_processing
-    positions = np.concatenate(
-        [t.positions[: t.n_switch] for t in parts] + [t.positions[t.n_switch :] for t in parts]
-    )
-    family = "+".join(dict.fromkeys(t.family for t in parts))
-    links = (np.concatenate(ends[0::2]), np.concatenate(ends[1::2]), np.concatenate(lengths))
-    return Topology(family, parts[0].seed, s_total, pn_base - s_total, positions, links)
-
-
 def run_many(jobs: Sequence[tuple[Topology, SimConfig]]) -> list[SimStats]:
     """``run`` for each (topology, config) job, as lanes of one simulation.
 
-    The configs may differ only in ``seed``.  The lanes step in lockstep over
-    the disjoint union of the topologies; a lane leaves the drain when it is
+    The configs may differ only in ``seed``.  The lanes step in lockstep, each
+    over its own topology; a lane leaves the drain when it is
     empty or at the cap, and each job gets exactly the ``SimStats`` that
     ``run`` gives it alone, ``drain_steps`` and ``drain_capped`` included.
     """

@@ -15,6 +15,9 @@ components.  ``_switch_arcs`` and ``_lane_routing_tables`` are the switch-arc
 builder that ``metrics`` ran on every call and the per-lane routing tables
 that ``Simulation`` stitched together, before the switch arcs were built once
 in the ``Topology`` constructor and lanes were read from their union.
+``_disjoint_union`` is that union, which ``Simulation`` built at set-up
+until each lane's arrays were read from its own topology; it is the
+reference engine's view of a lane simulation's node ids.
 ``reference_relax`` is ``metrics._relax`` as it was before the
 frontier-sparse kernel: dense Bellman-Ford rounds over 64 sources at a time,
 each relaxing every arc out of a switch that improved for any of them.
@@ -237,6 +240,28 @@ def _lane_routing_tables(topologies: list[Topology], starts: list[int]) -> np.nd
         )
         col += table.shape[1]
     return out
+
+
+def _disjoint_union(parts: list[Topology]) -> Topology:
+    """One topology holding ``parts`` side by side: their switches in order,
+    then their processing nodes in order, each part's ids kept in sequence."""
+    if len(parts) == 1:
+        return parts[0]
+    s_total = sum(t.n_switch for t in parts)
+    ends, lengths = [], []
+    switch_base, pn_base = 0, s_total
+    for t in parts:
+        lo, hi, length = t.link_arrays()
+        ends += [np.where(ids < t.n_switch, ids + switch_base, ids + pn_base - t.n_switch) for ids in (lo, hi)]
+        lengths.append(length)
+        switch_base += t.n_switch
+        pn_base += t.n_processing
+    positions = np.concatenate(
+        [t.positions[: t.n_switch] for t in parts] + [t.positions[t.n_switch :] for t in parts]
+    )
+    family = "+".join(dict.fromkeys(t.family for t in parts))
+    links = (np.concatenate(ends[0::2]), np.concatenate(ends[1::2]), np.concatenate(lengths))
+    return Topology(family, parts[0].seed, s_total, pn_base - s_total, positions, links)
 
 
 class ReferenceSimulation:

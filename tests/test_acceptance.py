@@ -23,7 +23,7 @@ from multitude_sim import (
 )
 from multitude_sim.harness import ExperimentSpec, derive_seed, derive_subseed, run_experiment
 from multitude_sim.metrics import average_hops, clustering_coefficient
-from multitude_sim.simcore import Routing, SimConfig, Simulation, run
+from multitude_sim.simcore import Routing, SimConfig, Simulation, run_many
 from multitude_sim.synctask import run_sync_task
 from oracles import UnionFind, pn_hops_oracle
 
@@ -369,17 +369,16 @@ def test_criterion_11_dynamic_static_agreement():
     gaps = {}
     buffer_drops = 0
     for family in FAMILIES:
-        static_means, dynamic_means = [], []
+        # the family's 10 replicates run as lanes of one simulation
+        jobs = []
         for rep in range(10):
             seed = derive_seed(0, "acceptance-agreement", family, 64, rep)
             topo = build(TopologyConfig(family, 64, 64, seed=seed))
-            static_means.append(average_hops(topo)[0])
-            stats = run(
-                topo,
-                SimConfig(horizon=400, seed=derive_subseed(seed, "traffic")),
-            )
-            buffer_drops += stats.dropped_buffer
-            dynamic_means.append(stats.avg_hops_delivered)
+            jobs.append((topo, SimConfig(horizon=400, seed=derive_subseed(seed, "traffic"))))
+        static_means = [average_hops(topo)[0] for topo, _ in jobs]
+        results = run_many(jobs)
+        buffer_drops += sum(stats.dropped_buffer for stats in results)
+        dynamic_means = [stats.avg_hops_delivered for stats in results]
         static = float(np.mean(static_means))
         dynamic = float(np.mean(dynamic_means))
         gaps[family] = abs(dynamic - static) / static

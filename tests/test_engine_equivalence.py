@@ -5,8 +5,9 @@ Both engines are driven with the same topology, config and seed; every
 step's delivered and dropped records (ids, hops and order), every counter
 and the final statistics must agree exactly.  ``simcore.run_many`` runs
 jobs as lanes of one simulation; each lane must give exactly what
-``oracles.reference_run`` gives for its job alone, and its routing table is
-each lane's own table stitched together (``oracles._lane_routing_tables``).
+``oracles.reference_run`` gives for its job alone, and every in-lane lookup
+of its flat routing table must equal that lane's own table, as
+``oracles._lane_routing_tables`` stitches the lanes' tables together.
 ``Simulation.inject`` takes a batch; it must give what one scalar
 ``ReferenceSimulation.inject`` call per message gives.
 """
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from multitude_sim import ConfigError, TopologyConfig, build, remove_random_links, simcore, synctask
 from multitude_sim.simcore import Routing, SimConfig, Simulation
-from oracles import ReferenceSimulation, _lane_routing_tables, reference_run
+from oracles import ReferenceSimulation, _disjoint_union, _lane_routing_tables, reference_run
 
 # 2DCA on 64 switches has 112 switch links; deleting 40-80 strands switches,
 # whose messages go back to their own buffer
@@ -163,6 +164,18 @@ def test_run_many_batched_entry_matches_reference_runs():
     assert all(stats.dropped_buffer for stats in results)
 
 
+def test_run_many_shortest_path_lanes_of_mixed_sizes_match_reference_runs():
+    # lanes of 27, 32 and 64 switches, one a 2DCA lattice with 60 links deleted,
+    # with single-message buffers: unreachable and buffer drops both happen
+    config = SimConfig(injection_rate=0.3, channels=2, buffer_capacity=1, horizon=12)
+    keys = [("3DCA", 0, 0), ("3DRMStandard", 1, 0), ("2DCA", 2, 60), ("3DRMGlobal", 3, 0)]
+    jobs = [(make_topology(*key), replace(config, seed=seed)) for seed, key in enumerate(keys)]
+    results = simcore.run_many(jobs)
+    assert results == [reference_run(topo, cfg) for topo, cfg in jobs]
+    assert any(stats.unreachable_dropped for stats in results)
+    assert any(stats.dropped_buffer for stats in results)
+
+
 # (lane topologies, entry batches of (size, source PNs per lane or None for all));
 # with C = 1, _iota holds max(S, N) entries, fewer than most batches
 INJECT_CASES = st.tuples(
@@ -187,9 +200,10 @@ def test_batched_inject_matches_scalar_reference_calls(case, buffer_capacity, ro
     topologies = [make_topology(*topo_key) for topo_key in lanes]
     config = SimConfig(channels=1, buffer_capacity=buffer_capacity, routing=routing, seed=seed)
     sim = Simulation.lanes(topologies, config, [seed] * len(topologies))
-    ref = LoopedReference(sim.topology, config)
+    union = _disjoint_union(topologies)  # the lanes' node ids
+    ref = LoopedReference(union, config)
     rng = np.random.default_rng(seed)
-    first = np.cumsum([sim.topology.n_switch] + [t.n_processing for t in topologies])
+    first = np.cumsum([union.n_switch] + [t.n_processing for t in topologies])
     for size, spread in batches:
         lane = rng.integers(len(topologies), size=size)
         count = np.diff(first)[lane]
@@ -247,13 +261,19 @@ def test_run_many_matches_reference_runs(lanes, config):
 @settings(max_examples=20, deadline=None)
 @given(lanes=st.lists(TOPOLOGIES, min_size=1, max_size=6))
 def test_lane_routing_table_matches_stitched_lane_tables(lanes):
-    # mixed sizes (27, 32 and 64 switches) and faulted 2DCA lanes with unreachable pairs
+    # mixed sizes (27, 32 and 64 switches) and faulted 2DCA lanes with unreachable pairs;
+    # the flat table keeps each lane's own entries and no cross-lane one
     topologies = [make_topology(*topo_key) for topo_key in lanes]
     sim = Simulation.lanes(topologies, SimConfig(), list(range(len(topologies))))
-    starts = np.cumsum([0] + [t.n_switch for t in topologies[:-1]]).tolist()
+    sizes = [t.n_switch for t in topologies]
+    starts = np.cumsum([0] + sizes[:-1]).tolist()
     reference = _lane_routing_tables(topologies, starts)
-    assert sim.routing_table.dtype == reference.dtype
-    assert np.array_equal(sim.routing_table, reference)
+    assert sim._next_hop.dtype == reference.dtype
+    assert len(sim._next_hop) == sum(n * n for n in sizes)
+    for lo, n in zip(starts, sizes):
+        sw = np.arange(lo, lo + n)
+        lookups = sim._next_hop[sim._route_row[sw][:, None] + sw]  # [switch, destination switch]
+        assert np.array_equal(lookups, reference[lo : lo + n, lo : lo + n])
 
 
 def test_run_many_lanes_leave_the_drain_on_their_own():

@@ -66,6 +66,21 @@ def test_shortest_path_run_memory_follows_the_switch_graph():
     assert peak < 32e6
 
 
+def test_shortest_path_lane_setup_memory_grows_with_the_lanes():
+    # 64 lanes of 64 switches: a [4096, 4096] table and hop matrix over all
+    # lanes took 154 MB, where the ring and the pool alone take about 8 MB
+    topologies = [build(TopologyConfig("3DRMStandard", 64, 64, seed=seed)) for seed in range(64)]
+    for topo in topologies:
+        topo.switch_hops()
+    tracemalloc.start()
+    try:
+        Simulation.lanes(topologies, SimConfig(), list(range(64)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 def test_routing_table_marks_unreachable_after_faults():
     topo = build(TopologyConfig("2DCA", 16, 16, seed=3))
     faulted = remove_random_links(topo, len(topo.switch_link_pairs()), np.random.default_rng(0))
@@ -265,13 +280,12 @@ def test_lanes_share_one_id_space():
     # and lane k-1's PNs, as in the disjoint union of the topologies
     small, large = grid9(), build(TopologyConfig("3DRMStandard", 16, 16, seed=2))
     sim = Simulation.lanes([small, large], SimConfig(seed=0), [5, 6])
-    union = sim.topology
-    assert (union.n_switch, union.n_processing) == (25, 25)
+    assert (small.n_switch + large.n_switch, small.n_processing + large.n_processing) == (25, 25)
     for j in range(16):
-        assert union.attached_switch(25 + 9 + j) == 9 + large.attached_switch(16 + j)
-    tail, head, _ = union.switch_arcs()
+        assert sim._pn_switch[9 + j] == 9 + large.attached_switch(16 + j)
+    first = sim._first_neighbor[9]
     large_tail, large_head, _ = large.switch_arcs()
-    assert (tail[head == 9] - 9).tolist() == large_tail[large_head == 0].tolist()
+    assert (sim._neighbors[first : first + sim._degree[9]] - 9).tolist() == large_tail[large_head == 0].tolist()
     with pytest.raises(ValueError):
         sim.inject(25, 25 + 9)  # a lane-0 PN cannot reach a lane-1 PN
     assert sim.inject(25 + 9, 25 + 10) == 1
@@ -319,7 +333,7 @@ def test_message_columns_match_the_record_views(routing, lanes, buffer_capacity,
     topologies = [grid9(), build(TopologyConfig("3DRMStandard", 16, 16, seed=2))][:lanes]
     config = SimConfig(injection_rate=0.3, channels=2, buffer_capacity=buffer_capacity, routing=routing, ttl=ttl)
     sim = Simulation.lanes(topologies, config, [seed + lane for lane in range(lanes)])
-    first_pn = sim.topology.n_switch  # lane 0's PNs are its first 9
+    first_pn = sum(t.n_switch for t in topologies)  # lane 0's PNs are its first 9
     rng = np.random.default_rng(seed)
     for _ in range(25):
         sim.step()
