@@ -73,8 +73,9 @@ _FAMILY_READS = {**dict.fromkeys(CA_FAMILIES, ()), **dict.fromkeys(RM_FAMILIES, 
 # flag -> the config field it sets; a flag left unset keeps the field's default
 _TOPOLOGY_FIELDS = {"n": "n_processing", "s": "n_switch", "alpha": "alpha", "ks": "k_s", "kmax": "k_max",
                     "seed": "seed", "raw-attempt-count": "raw_attempt_count"}
-_SIM_FIELDS = {"pi": "injection_rate", "channels": "channels", "buffer": "buffer_capacity", "steps": "horizon",
-               "ttl": "ttl", "seed": "seed"}
+# an experiment sets the step count, the routing and the traffic seeds itself
+_TRAFFIC_FIELDS = {"pi": "injection_rate", "channels": "channels", "buffer": "buffer_capacity", "ttl": "ttl"}
+_SIM_FIELDS = {**_TRAFFIC_FIELDS, "steps": "horizon", "seed": "seed"}
 _SPEC_FIELDS = {"seeds-per-point": "seeds_per_point", "seed": "master_seed", "out": "out_path", "ks": "k_s",
                 "kmax": "k_max", "steps": "horizon"}
 
@@ -203,8 +204,10 @@ def _cmd_sync(opt: _Options) -> None:
 
 
 def _cmd_experiment(opt: _Options) -> None:
-    families = opt.get("family")
-    families = tuple(f.strip() for f in families.split(",") if f.strip()) if families else harness.FAMILIES
+    family = opt.get("family")
+    families = harness.FAMILIES if family is None else tuple(f.strip() for f in family.split(",") if f.strip())
+    if not families:
+        raise ConfigError(f"--family needs a comma list of family names, got {family!r}")
     experiment_id, deletions = opt.get("id"), opt.get("deletions")
     for flag in _EXPERIMENT_ONLY:
         if opt.get(flag) is not None and flag not in _EXPERIMENT_READS.get(experiment_id, ()):
@@ -213,12 +216,15 @@ def _cmd_experiment(opt: _Options) -> None:
         if opt.get(flag) is not None and not any(flag in _FAMILY_READS.get(f, _FAMILY_ONLY) for f in families):
             raise ConfigError(f"--{flag} does not apply to any of the families {','.join(families)}")
     sweep = None
-    if deletions:
+    if deletions is not None:
         try:
             sweep = tuple(int(d) for d in deletions.split(",") if d.strip())
         except ValueError:
-            raise ConfigError(f"--deletions needs a comma list of integers, got {deletions!r}") from None
-    spec = harness.ExperimentSpec(experiment_id, families, sweep, sim=_sim_config(opt), **opt.given(_SPEC_FIELDS))
+            sweep = ()
+        if not sweep:
+            raise ConfigError(f"--deletions needs a comma list of integers, got {deletions!r}")
+    sim = SimConfig(**opt.given(_TRAFFIC_FIELDS))
+    spec = harness.ExperimentSpec(experiment_id, families, sweep, sim=sim, **opt.given(_SPEC_FIELDS))
     gnuplot = opt.get("gnuplot", False)
     if gnuplot and not spec.out_path:
         raise ConfigError("--gnuplot requires --out")

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -99,6 +99,10 @@ SWITCH_SWEEP_FAMILIES = ("3DRMStandard", "3DRMRealistic")
 # a mean or skipped row writes 0 in these columns
 COUNT_COLUMNS = frozenset(("unreachable", "injected", "delivered", "dropped_ttl", "dropped_buffer"))
 
+# the SimConfig fields each experiment sets itself or never reads; the static sweeps simulate nothing
+_SIM_IGNORED = {"robustness": ("routing", "horizon", "seed"), "sync": ("injection_rate", "routing", "horizon", "seed")}
+_DEFAULT_SIM = SimConfig()
+
 
 def derive_seed(master_seed: int, experiment: str, family: str, sweep_value, replicate: int) -> int:
     """64-bit point seed from sha256 over a canonical key string.
@@ -140,6 +144,11 @@ class ExperimentSpec:
             raise ConfigError("seeds_per_point must be >= 1")
         if self.horizon is not None and self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
+        if self.horizon is not None and self.experiment not in _SIM_IGNORED:
+            raise ConfigError(f"horizon does not apply to the {self.experiment} experiment, which simulates nothing")
+        for name in _SIM_IGNORED.get(self.experiment, [f.name for f in fields(SimConfig)]):
+            if getattr(self.sim, name) != getattr(_DEFAULT_SIM, name):
+                raise ConfigError(f"sim.{name} does not apply to the {self.experiment} experiment, which sets or ignores it")
         unknown = [f for f in self.families if f not in FAMILIES]
         if unknown:
             raise ConfigError(f"unknown families {unknown}")

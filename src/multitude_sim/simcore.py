@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -232,9 +232,8 @@ class Simulation:
     Each lane has its own generator, its own TTL (100 * its
     switch count when unset) and its own counters; one step serves every
     lane with the same array operations, and a lane's outcome is exactly
-    that of a simulation of its topology alone.  The
-    public counters (``injected``, ``delivered``, ...) are totals over the
-    lanes; ``stats(lane)`` gives one lane's statistics.
+    that of a simulation of its topology alone.  ``stats(lane)`` gives one
+    lane's counts and statistics.
 
     Messages are held as structure-of-arrays state.  The int64 pool
     ``_pool`` has one column per buffered message (rows: id, src, dst,
@@ -248,9 +247,10 @@ class Simulation:
     through one routine, ``_enter``; a step's staged messages are committed
     as one batch, and both are placed by ``_enqueue``.  A step keeps its
     delivered and dropped messages as pool columns only; ``messages(view)``
-    reads them, or the buffered messages, as named columns, and the record
-    views (``delivered_this_step``, ``dropped_this_step``,
-    ``iter_in_flight()``) build ``Message`` records from it on every read.
+    reads them, or the buffered messages, as named columns.  Two views remain
+    only for the benchmark's tracer, until it reads the program's own counts
+    (ROADMAP item 2): ``buffers`` and ``delivered_this_step``, which builds
+    ``Message`` records from the columns (``_records``) on every read.
     Each step's delivered columns also go to a log that is folded into the
     per-lane delivery sums now and then, so a step pays no per-lane
     arithmetic for its deliveries.
@@ -339,34 +339,10 @@ class Simulation:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    @property
-    def injected(self) -> int:
-        return int(self._injected.sum())
-
-    @property
-    def delivered(self) -> int:
-        self._fold()
-        return int(self._delivered.sum())
-
-    @property
-    def dropped_ttl(self) -> int:
-        return int(self._dropped_ttl.sum())
-
-    @property
-    def dropped_buffer(self) -> int:
-        return int(self._dropped_buffer.sum())
-
-    @property
-    def unreachable_dropped(self) -> int:
-        return int(self._unreachable.sum())
-
-    @property
-    def max_buffer_occupancy(self) -> int:
-        return int(self._peaks.max())
-
     def messages(self, view: str) -> dict[str, np.ndarray]:
-        """Read-only columns id, src, dst, injected_at, hops and payload (float64, NaN for none) of the
-        last step's "delivered" or "dropped" messages or the "buffered" ones, in their record views' order."""
+        """Read-only columns id, src, dst, injected_at, hops and payload (float64, NaN for none) of a view:
+        "delivered", the last step's deliveries in (switch, FIFO) order; "dropped", its entry, then commit
+        drops, each in id order, then the entry drops since; "buffered", switch by switch in FIFO order."""
         if view == "buffered":
             rows = self._pool.take(self._fifo(self._occ)[0], axis=1)
         else:
@@ -380,35 +356,20 @@ class Simulation:
         return _records(self.messages("delivered"))
 
     @property
-    def dropped_this_step(self) -> list[Message]:
-        """Records of the last step's entry, then commit drops, each in id order, then entries dropped since."""
-        return _records(self.messages("dropped"))
-
-    @property
     def buffers(self) -> list[range]:
         """One sized item per switch, whose len() is that switch's occupancy."""
         return list(map(range, self._occ.tolist()))
-
-    def in_flight(self) -> int:
-        return self._in_flight
 
     def lane_in_flight(self) -> list[int]:
         """Buffered messages per lane."""
         return np.add.reduceat(self._occ, self._lane_start).tolist()
 
-    def iter_in_flight(self) -> Iterator[Message]:
-        """Records of every buffered message, switch by switch in FIFO order."""
-        return iter(_records(self.messages("buffered")))
-
     def conservation_ok(self) -> bool:
-        accounted = (
-            self.delivered
-            + self.dropped_ttl
-            + self.dropped_buffer
-            + self.unreachable_dropped
-            + self.in_flight()
+        """Whether every lane accounts for each message it injected: delivered, dropped or in flight."""
+        return all(
+            s.delivered + s.dropped_ttl + s.dropped_buffer + s.unreachable_dropped + s.in_flight_at_end == s.injected
+            for s in map(self.stats, range(len(self._lane_bounds)))
         )
-        return accounted == self.injected
 
     def stats(self, lane: int = 0) -> SimStats:
         """Statistics of one lane (the only one by default)."""

@@ -386,7 +386,7 @@ class Topology:
         lattice_stub = (hi >= self.n_switch) & (self.family in CA_FAMILIES)
         # numpy's sum of squares can differ from math.dist in the last bits, so
         # flag at half the tolerance and decide each flagged link with math.dist
-        approx = np.sqrt(((pos[lo] - pos[hi]) ** 2).sum(axis=1))
+        approx = np.sqrt(_squared_distances(pos[lo], pos[hi]))
         flagged = np.where(lattice_stub, length != CA_STUB_LENGTH, np.abs(length - approx) > 0.5e-9)
         for i in np.flatnonzero(flagged).tolist():
             a, b, cached = lo.item(i), hi.item(i), length.item(i)
@@ -686,7 +686,7 @@ def ensure_connected(topology: Topology, rng: np.random.Generator) -> Topology:
                     f"(family={topology.family}, k_max={k_max}); config is infeasible"
                 )
             src = int(smallest[rng.integers(len(smallest))])
-            dists = np.sqrt(((positions[rest] - positions[src]) ** 2).sum(axis=1))
+            dists = np.sqrt(_squared_distances(positions[rest], positions[src]))
             dst = int(rest[_draw(_cumulative_weights(dists, alpha), rng)])
             if k_max is None or (degree[src] < k_max and degree[dst] < k_max):
                 break

@@ -5,6 +5,8 @@ plain-dict BFS, a tuple-heap Dijkstra, and a union-find, all working off raw
 edge lists rather than Topology accessors.  ``ReferenceSimulation`` is
 the message engine as it was before the array-state rewrite: per-switch
 deques of ``Message`` objects served one message at a time.
+``record_fields`` reads its records, and ``column_fields`` the same fields
+from the columns of ``Simulation.messages``, so the two engines compare.
 ``reference_run`` is ``simcore.run`` as it was before lanes, driving one
 ``ReferenceSimulation`` through the horizon and the drain.
 ``reference_build`` and ``reference_remove_random_links`` are
@@ -262,6 +264,18 @@ def _disjoint_union(parts: list[Topology]) -> Topology:
     family = "+".join(dict.fromkeys(t.family for t in parts))
     links = (np.concatenate(ends[0::2]), np.concatenate(ends[1::2]), np.concatenate(lengths))
     return Topology(family, parts[0].seed, s_total, pn_base - s_total, positions, links)
+
+
+def record_fields(messages) -> list[tuple]:
+    """(id, src, dst, injected_at, hops, payload) of each ``Message`` record, in order."""
+    return [(m.id, m.src, m.dst, m.injected_at, m.hops_taken, m.payload) for m in messages]
+
+
+def column_fields(columns: dict[str, np.ndarray]) -> list[tuple]:
+    """``record_fields`` from ``Simulation.messages`` columns; a NaN payload reads None."""
+    fields = [columns[name].tolist() for name in ("id", "src", "dst", "injected_at", "hops")]
+    payloads = [None if np.isnan(p) else p for p in columns["payload"].tolist()]
+    return list(zip(*fields, payloads))
 
 
 class ReferenceSimulation:

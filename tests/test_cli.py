@@ -283,6 +283,23 @@ def test_non_numeric_option_values_exit_code(tmp_path, capsys):
     assert "n = 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+@pytest.mark.parametrize("flag, value", [("family", ""), ("family", ",,"), ("deletions", ""), ("deletions", ",,")])
+def test_empty_family_or_deletions_exit_code(flag, value, from_file, tmp_path, capsys):
+    # an empty family list ran all six families, and an empty deletion list the default grid
+    given = {"family": "3DCA", "deletions": "0", flag: value}
+    args = ["experiment", "robustness", "--seeds-per-point", "1", "--steps", "1"]
+    if from_file:
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(f"{flag} = {given.pop(flag)}\n", encoding="utf-8")
+        args += ["--config", str(cfg)]
+    for name, text in given.items():
+        args += [f"--{name}", text]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"--{flag} needs a comma list" in err
+
+
 @pytest.mark.parametrize("command", ["metrics", "simulate", "sync"])
 def test_one_processing_node_exit_code(command, capsys):
     # one processing node makes no pair to measure or gossip with; this ended in a traceback

@@ -2,8 +2,10 @@
 
 ``oracles.ReferenceSimulation`` is the deque engine the array state replaced.
 Both engines are driven with the same topology, config and seed; every
-step's delivered and dropped records (ids, hops and order), every counter
-and the final statistics must agree exactly.  ``simcore.run_many`` runs
+step's delivered and dropped messages (ids, hops and order), every count
+and the final statistics must agree exactly.  The array engine is read
+through ``Simulation.messages`` and ``Simulation.stats``, the reference
+engine through its own records and ``stats()``.  ``simcore.run_many`` runs
 jobs as lanes of one simulation; each lane must give exactly what
 ``oracles.reference_run`` gives for its job alone, and every in-lane lookup
 of its flat routing table must equal that lane's own table, as
@@ -20,7 +22,14 @@ from hypothesis import given, settings, strategies as st
 
 from multitude_sim import ConfigError, TopologyConfig, build, remove_random_links, simcore, synctask
 from multitude_sim.simcore import Routing, SimConfig, Simulation
-from oracles import ReferenceSimulation, _disjoint_union, _lane_routing_tables, reference_run
+from oracles import (
+    ReferenceSimulation,
+    _disjoint_union,
+    _lane_routing_tables,
+    column_fields,
+    record_fields,
+    reference_run,
+)
 
 # 2DCA on 64 switches has 112 switch links; deleting 40-80 strands switches,
 # whose messages go back to their own buffer
@@ -53,22 +62,31 @@ def make_topology(family, seed, deletions):
     return topo
 
 
-def records(messages):
-    return [(m.id, m.src, m.dst, m.injected_at, m.hops_taken, m.payload) for m in messages]
+COUNTS = ("injected", "delivered", "dropped_ttl", "dropped_buffer", "unreachable_dropped", "in_flight_at_end")
+
+
+def read(sim, view):
+    """A view's message fields: the array engine's ``messages`` columns, or the reference engine's records."""
+    if isinstance(sim, Simulation):
+        return column_fields(sim.messages(view))
+    return record_fields(sim.iter_in_flight() if view == "buffered" else getattr(sim, f"{view}_this_step"))
+
+
+def totals(sim):
+    """The counts summed over the lanes (the reference engine has one), and the highest buffer occupancy."""
+    if isinstance(sim, Simulation):
+        lanes = [sim.stats(k) for k in range(len(sim.lane_in_flight()))]
+    else:
+        lanes = [sim.stats()]
+    return [sum(getattr(s, name) for s in lanes) for name in COUNTS] + [max(s.max_buffer_occupancy for s in lanes)]
 
 
 def snapshot(sim):
     return (
-        records(sim.delivered_this_step),
-        records(sim.dropped_this_step),
+        read(sim, "delivered"),
+        read(sim, "dropped"),
         sim.step_index,
-        sim.injected,
-        sim.delivered,
-        sim.dropped_ttl,
-        sim.dropped_buffer,
-        sim.unreachable_dropped,
-        sim.max_buffer_occupancy,
-        sim.in_flight(),
+        totals(sim),
         [len(buf) for buf in sim.buffers],
         sim.conservation_ok(),
     )
@@ -100,7 +118,7 @@ class LoopedReference(ReferenceSimulation):
 
 def step_side_by_side(topo, config, drain_steps):
     """Step both engines, comparing every step; returns the array engine and
-    how many messages it dropped on entry (records of 0 hops)."""
+    how many messages it dropped on entry (with 0 hops)."""
     engines = Simulation(topo, config), ReferenceSimulation(topo, config)
     entry_drops = 0
     for step in range(config.horizon + drain_steps):
@@ -108,9 +126,9 @@ def step_side_by_side(topo, config, drain_steps):
             sim.step(inject=step < config.horizon)
         new, ref = map(snapshot, engines)
         assert new == ref, f"step {step + 1}"
-        entry_drops += sum(m.hops_taken == 0 for m in engines[0].dropped_this_step)
+        entry_drops += np.count_nonzero(engines[0].messages("dropped")["hops"] == 0)
     new, ref = engines
-    assert records(new.iter_in_flight()) == records(ref.iter_in_flight())
+    assert read(new, "buffered") == read(ref, "buffered")
     assert new.stats() == ref.stats()
     return new, entry_drops
 
@@ -138,7 +156,7 @@ def test_ring_widening_matches_reference_engine():
     topo = make_topology("3DRMStandard", 1, 0)
     config = SimConfig(injection_rate=1.0, channels=1, buffer_capacity=300, horizon=220, seed=4)
     sim, _ = step_side_by_side(topo, config, drain_steps=10)
-    assert sim.max_buffer_occupancy > simcore._RING_WIDTH
+    assert sim.stats().max_buffer_occupancy > simcore._RING_WIDTH
 
 
 @pytest.mark.parametrize("buffer_capacity", [1, 2, 3])
@@ -150,7 +168,7 @@ def test_batched_entry_drops_match_reference_engine(buffer_capacity):
         injection_rate=1.0, channels=1, buffer_capacity=buffer_capacity, horizon=25, seed=7
     )
     sim, entry_drops = step_side_by_side(topo, config, drain_steps=5)
-    assert entry_drops > 0 and sim.unreachable_dropped > 0
+    assert entry_drops > 0 and sim.stats().unreachable_dropped > 0
 
 
 def test_run_many_batched_entry_matches_reference_runs():
@@ -213,7 +231,7 @@ def test_batched_inject_matches_scalar_reference_calls(case, buffer_capacity, ro
         payload = rng.random(size) if with_payload else None
         assert sim.inject(src, dst, payload) == ref.inject(src, dst, payload)
         assert snapshot(sim) == snapshot(ref)
-        assert records(sim.iter_in_flight()) == records(ref.iter_in_flight())
+        assert read(sim, "buffered") == read(ref, "buffered")
 
 
 def test_batched_inject_reaches_widening_drops_and_unreachable():
@@ -224,14 +242,15 @@ def test_batched_inject_reaches_widening_drops_and_unreachable():
     dst = 32 + 6 + np.arange(200) % 26
     sim = Simulation(make_topology("3DRMStandard", 1, 0), SimConfig(channels=1, buffer_capacity=300))
     assert len(sim._iota) < 200 and sim.inject(src, dst, 0.5) == 200
-    assert sim.max_buffer_occupancy > simcore._RING_WIDTH
-    assert {m.payload for m in sim.iter_in_flight()} == {0.5}
+    assert sim.stats().max_buffer_occupancy > simcore._RING_WIDTH
+    assert set(sim.messages("buffered")["payload"].tolist()) == {0.5}
     sim = Simulation(make_topology("2DCA", 1, 60), SimConfig(channels=1, buffer_capacity=2))
     assert sim.inject(src + 27, dst + 27) == 2  # from switch 0 to switches 1-26
-    assert sim.unreachable_dropped and sim.dropped_buffer == 198 - sim.unreachable_dropped
-    drops = sim.dropped_this_step
-    assert [m.hops_taken for m in drops] == [0] * sim.dropped_buffer
-    assert [m.id for m in drops] == sorted(m.id for m in drops)
+    stats = sim.stats()
+    assert stats.unreachable_dropped and stats.dropped_buffer == 198 - stats.unreachable_dropped
+    drops = sim.messages("dropped")
+    assert drops["hops"].tolist() == [0] * stats.dropped_buffer
+    assert drops["id"].tolist() == sorted(drops["id"].tolist())
 
 
 @settings(max_examples=25, deadline=None)
@@ -317,7 +336,7 @@ def test_closed_lane_takes_no_further_part():
     sim.inject(pns + 27, pns + 28)
     stats = sim.close_lane(0)
     assert stats.injected == 1 and stats.in_flight_at_end == 1
-    assert sim.lane_in_flight() == [0, 1] and sim.in_flight() == 1
+    assert sim.lane_in_flight() == [0, 1] and sim._in_flight == 1  # the count that step() reads
     for _ in range(5):
         sim.step()
     assert sim.stats(0) == replace(stats, in_flight_at_end=0)
@@ -360,7 +379,7 @@ def test_sync_task_payloads_match_reference_engine(topo_key, channels, buffer_ca
         seen = []
 
         def watch(step, freqs, sim):
-            seen.append((snapshot(sim), records(sim.iter_in_flight()), freqs.tolist()))
+            seen.append((snapshot(sim), read(sim, "buffered"), freqs.tolist()))
 
         trace = synctask.run_sync_task(topo, config, on_step=watch)
         return trace, seen

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from multitude_sim.harness import (
     run_experiment,
 )
 from multitude_sim.metrics import average_hops
-from multitude_sim.simcore import SimConfig
+from multitude_sim.simcore import Routing, SimConfig
 
 
 def rows_of(csv_text):
@@ -311,6 +312,27 @@ def test_non_integral_sweep_value_is_refused(experiment, values):
     spec = ExperimentSpec(experiment, families=("3DCA",), sweep_values=values, seeds_per_point=1)
     with pytest.raises(ConfigError, match="must each be an exact int"):
         run_experiment(spec)
+
+
+@pytest.mark.parametrize(
+    "experiment, settings, name",
+    [
+        ("robustness", {"sim": SimConfig(routing=Routing.RANDOM_WANDERING)}, "sim.routing"),
+        ("robustness", {"sim": SimConfig(horizon=7)}, "sim.horizon"),
+        ("robustness", {"sim": SimConfig(seed=99)}, "sim.seed"),
+        ("sync", {"sim": SimConfig(injection_rate=0.9)}, "sim.injection_rate"),
+        ("sync", {"sim": SimConfig(horizon=3)}, "sim.horizon"),
+        ("scaling", {"horizon": 5}, "horizon"),
+        ("scaling", {"sim": SimConfig(injection_rate=0.9)}, "sim.injection_rate"),
+        ("alpha-sweep", {"sim": SimConfig(channels=1)}, "sim.channels"),
+        ("switch-sweep", {"sim": SimConfig(ttl=3)}, "sim.ttl"),
+    ],
+)
+def test_simulation_settings_the_experiment_overrides_are_refused(experiment, settings, name):
+    # each was overwritten by the experiment or never read: the CSV matched the default's byte for byte
+    spec = ExperimentSpec(experiment, families=("3DCA",), seeds_per_point=1, **settings)
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} does not apply to the {experiment} experiment"):
+        spec.validate()
 
 
 def test_experiment_csv_written_to_disk(tmp_path):

@@ -18,7 +18,7 @@ from multitude_sim.simcore import (
     run,
     run_many,
 )
-from oracles import pn_hops_oracle
+from oracles import column_fields, pn_hops_oracle, record_fields
 
 
 def grid9():
@@ -90,8 +90,8 @@ def test_routing_table_marks_unreachable_after_faults():
 
     sim = Simulation(faulted, SimConfig(injection_rate=0.0, seed=1))
     assert sim.inject(16 + 0, 16 + 15) == 0
-    assert sim.unreachable_dropped == 1
-    assert sim.dropped_buffer == 0
+    assert sim.stats().unreachable_dropped == 1
+    assert sim.stats().dropped_buffer == 0
     assert sim.conservation_ok()
 
 
@@ -101,8 +101,8 @@ def test_routing_table_marks_unreachable_after_faults():
 def test_zero_rate_empty_buffers_is_fixed_point():
     sim = Simulation(grid9(), SimConfig(injection_rate=0.0, seed=1))
     sim.step()
-    assert sim.injected == 0 and sim.in_flight() == 0
-    assert sim.delivered_this_step == [] and sim.dropped_this_step == []
+    assert sim.stats().injected == 0 and sim.stats().in_flight_at_end == 0
+    assert column_fields(sim.messages("delivered")) == [] and column_fields(sim.messages("dropped")) == []
 
 
 def test_single_message_delivery_time_and_hops():
@@ -111,13 +111,13 @@ def test_single_message_delivery_time_and_hops():
     sim = Simulation(topo, SimConfig(injection_rate=0.0, seed=2))
     sim.inject(9 + 0, 9 + 8)
     steps = 0
-    while sim.delivered == 0:
+    while sim.stats().delivered == 0:
         sim.step()
         steps += 1
         assert steps <= 10
-    msg = sim.delivered_this_step[0]
+    hops = sim.messages("delivered")["hops"]
     assert steps == 5  # d + 1
-    assert msg.hops_taken == 5  # 4 lattice moves traverse 5 switches
+    assert hops[0] == 5  # 4 lattice moves traverse 5 switches
     assert sim.conservation_ok()
 
 
@@ -131,8 +131,8 @@ def test_same_switch_pair_delivers_in_one_step():
     sim = Simulation(topo, SimConfig(injection_rate=0.0, seed=0))
     sim.inject(1, 2)
     sim.step()
-    assert sim.delivered == 1
-    assert sim.delivered_this_step[0].hops_taken == 1
+    assert sim.stats().delivered == 1
+    assert sim.messages("delivered")["hops"][0] == 1
 
 
 def test_full_injection_zero_channels_fills_buffers():
@@ -142,9 +142,10 @@ def test_full_injection_zero_channels_fills_buffers():
     for _ in range(20):
         sim.step()
         assert sim.conservation_ok()
-    assert sim.in_flight() == 9 * 5  # every buffer pinned at capacity
-    assert sim.dropped_buffer > 0
-    assert sim.max_buffer_occupancy == 5
+    stats = sim.stats()
+    assert stats.in_flight_at_end == 9 * 5  # every buffer pinned at capacity
+    assert stats.dropped_buffer > 0
+    assert stats.max_buffer_occupancy == 5
 
 
 def test_ttl_drops_wandering_messages():
@@ -154,7 +155,7 @@ def test_ttl_drops_wandering_messages():
     sim.inject(9 + 0, 9 + 8)
     for _ in range(30):
         sim.step()
-    assert sim.dropped_ttl + sim.delivered == 1
+    assert sim.stats().dropped_ttl + sim.stats().delivered == 1
     assert sim.conservation_ok()
 
 
@@ -208,9 +209,10 @@ def test_uncongested_messages_take_bfs_minimum_hops():
     seen = 0
     for _ in range(300):
         sim.step()
-        assert sim.max_buffer_occupancy <= sim.config.channels
-        for msg in sim.delivered_this_step:
-            assert msg.hops_taken == hops[msg.src - 32, msg.dst - 32]
+        assert sim.stats().max_buffer_occupancy <= sim.config.channels
+        delivered = sim.messages("delivered")
+        for src, dst, taken in zip(delivered["src"], delivered["dst"], delivered["hops"]):
+            assert taken == hops[src - 32, dst - 32]
             seen += 1
     assert seen > 100
 
@@ -230,7 +232,7 @@ def test_conservation_under_stress():
     for _ in range(500):
         sim.step()
         assert sim.conservation_ok()
-    assert sim.max_buffer_occupancy <= sim.config.buffer_capacity
+    assert sim.stats().max_buffer_occupancy <= sim.config.buffer_capacity
 
 
 def test_inject_validates_endpoints():
@@ -243,9 +245,10 @@ def test_inject_validates_endpoints():
         sim.inject([9, 10], [10])  # one destination per source
     with pytest.raises(ValueError):
         sim.inject([9, 10, 11], [10, 11, 11])  # every message is checked
-    assert sim.injected == 0 and sim.inject([], []) == 0
+    assert sim.stats().injected == 0 and sim.inject([], []) == 0
     assert sim.inject([9, 10], [10, 17], [0.25, 0.75]) == 2
-    assert [(m.id, m.src, m.dst, m.payload) for m in sim.iter_in_flight()] == [(0, 9, 10, 0.25), (1, 10, 17, 0.75)]
+    buffered = column_fields(sim.messages("buffered"))
+    assert [(id_, src, dst, payload) for id_, src, dst, _, _, payload in buffered] == [(0, 9, 10, 0.25), (1, 10, 17, 0.75)]
 
 
 def test_sim_config_validation():
@@ -311,16 +314,6 @@ def test_run_builds_no_message_records(monkeypatch):
     assert stats.dropped_buffer > 0
 
 
-def _record_fields(messages):
-    return [(m.id, m.src, m.dst, m.injected_at, m.hops_taken, m.payload) for m in messages]
-
-
-def _column_fields(columns):
-    fields = [columns[name].tolist() for name in ("id", "src", "dst", "injected_at", "hops")]
-    payloads = [None if np.isnan(p) else p for p in columns["payload"].tolist()]
-    return list(zip(*fields, payloads))
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     routing=st.sampled_from(list(Routing)),
@@ -342,13 +335,8 @@ def test_message_columns_match_the_record_views(routing, lanes, buffer_capacity,
             src = rng.integers(0, 9, size=4)
             dst = (src + rng.integers(1, 9, size=4)) % 9
             sim.inject(first_pn + src, first_pn + dst, payload)
-        views = {
-            "delivered": sim.delivered_this_step,
-            "dropped": sim.dropped_this_step,
-            "buffered": list(sim.iter_in_flight()),
-        }
-        for view, records in views.items():
+        assert column_fields(sim.messages("delivered")) == record_fields(sim.delivered_this_step)
+        for view in ("delivered", "dropped", "buffered"):
             columns = sim.messages(view)
             assert columns["payload"].dtype == np.float64
             assert not any(column.flags.writeable for column in columns.values())
-            assert _column_fields(columns) == _record_fields(records), view

@@ -81,11 +81,12 @@ def test_payload_population_is_conserved():
     topo = build(TopologyConfig("3DRMLocal", 32, 32, seed=4))
 
     def check(step, freqs, sim):
-        in_flight = sum(1 for _ in sim.iter_in_flight())
+        in_flight = len(sim.messages("buffered")["id"])
+        dropped = len(sim.messages("dropped")["id"])
         # any payload lost this step is re-emitted next step, so the
         # population never exceeds N and recovers immediately
         assert in_flight <= 32
-        assert in_flight + len(sim.dropped_this_step) >= 32 - len(sim.dropped_this_step)
+        assert in_flight + dropped >= 32 - dropped
 
     run_sync_task(topo, wander_cfg(6, horizon=200), on_step=check)
 
@@ -98,8 +99,8 @@ def test_entry_drops_are_reemitted_once():
     lost = []
 
     def check(step, freqs, sim):
-        lost.append(len(sim.dropped_this_step))
-        assert sim.in_flight() + len(sim.dropped_this_step) <= 32
+        lost.append(len(sim.messages("dropped")["id"]))
+        assert sum(sim.lane_in_flight()) + lost[-1] <= 32
 
     run_sync_task(topo, cfg, on_step=check)
     assert max(lost) > 0
