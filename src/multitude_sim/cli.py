@@ -43,7 +43,6 @@ _FLAGS = {
     "ks": (float, "target average switch connectivity"),
     "kmax": (int, "switch degree cap (3DRMRealistic)"),
     "seed": (int, "64-bit seed"),
-    "raw-attempt-count": (bool, "attempt ks*S switch links instead of ks*S/2"),
     "config": (str, "flat key = value config file; flags override it"),
     "out": (str, "output path (default: stdout)"),
     "topology": (str, "read a topology edge-list file instead of generating"),
@@ -59,25 +58,25 @@ _FLAGS = {
 }
 # config-file spellings of a boolean flag's value
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
-_COMMON = ("family", "n", "s", "alpha", "ks", "kmax", "seed", "raw-attempt-count", "config", "out")
+_COMMON = ("family", "n", "s", "alpha", "ks", "kmax", "seed", "config", "out")
 _TRAFFIC = ("channels", "buffer", "steps", "ttl")  # what the sync task reads; it injects nothing
 _SIM = ("pi", *_TRAFFIC, "routing")
 # the flags of `experiment` that only some experiments read; the static sweeps read none
 _EXPERIMENT_ONLY = ("pi", *_TRAFFIC, "deletions")
 _EXPERIMENT_READS = {"robustness": _EXPERIMENT_ONLY, "sync": _TRAFFIC}
 # the build flags that only some families read; the lattices read none of them
-_FAMILY_ONLY = ("alpha", "ks", "kmax", "raw-attempt-count")
-_FAMILY_READS = {**dict.fromkeys(CA_FAMILIES, ()), **dict.fromkeys(RM_FAMILIES, ("alpha", "ks", "raw-attempt-count")),
+_FAMILY_ONLY = ("alpha", "ks", "kmax")
+_FAMILY_READS = {**dict.fromkeys(CA_FAMILIES, ()), **dict.fromkeys(RM_FAMILIES, ("alpha", "ks")),
                  "3DRMRealistic": _FAMILY_ONLY}
 
 # flag -> the config field it sets; a flag left unset keeps the field's default
 _TOPOLOGY_FIELDS = {"n": "n_processing", "s": "n_switch", "alpha": "alpha", "ks": "k_s", "kmax": "k_max",
-                    "seed": "seed", "raw-attempt-count": "raw_attempt_count"}
+                    "seed": "seed"}
 # an experiment sets the step count, the routing and the traffic seeds itself
 _TRAFFIC_FIELDS = {"pi": "injection_rate", "channels": "channels", "buffer": "buffer_capacity", "ttl": "ttl"}
 _SIM_FIELDS = {**_TRAFFIC_FIELDS, "steps": "horizon", "seed": "seed"}
-_SPEC_FIELDS = {"seeds-per-point": "seeds_per_point", "seed": "master_seed", "out": "out_path", "ks": "k_s",
-                "kmax": "k_max", "steps": "horizon"}
+_SPEC_FIELDS = {"seeds-per-point": "seeds_per_point", "seed": "master_seed", "ks": "k_s", "kmax": "k_max",
+                "steps": "horizon"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,17 +224,14 @@ def _cmd_experiment(opt: _Options) -> None:
             raise ConfigError(f"--deletions needs a comma list of integers, got {deletions!r}")
     sim = SimConfig(**opt.given(_TRAFFIC_FIELDS))
     spec = harness.ExperimentSpec(experiment_id, families, sweep, sim=sim, **opt.given(_SPEC_FIELDS))
-    gnuplot = opt.get("gnuplot", False)
-    if gnuplot and not spec.out_path:
+    out, gnuplot = opt.get("out"), opt.get("gnuplot", False)
+    if gnuplot and not out:
         raise ConfigError("--gnuplot requires --out")
     if gnuplot and experiment_id not in harness.SWEEPS:
         raise ConfigError(f"no gnuplot template for experiment {experiment_id!r}")
-    text = harness.run_experiment(spec)
-    if not spec.out_path:
-        sys.stdout.write(text)
+    _write(opt, harness.run_experiment(spec))
     if gnuplot:
-        script = str(Path(spec.out_path).with_suffix(".gp"))
-        harness.write_gnuplot_script(spec, spec.out_path, script)
+        harness.write_gnuplot_script(spec, out, str(Path(out).with_suffix(".gp")))
 
 
 # command -> (handler, help, flags)

@@ -131,7 +131,6 @@ class ExperimentSpec:
     sweep_values: tuple | None = None  # None -> the experiment's default grid
     seeds_per_point: int = 10
     master_seed: int = 0
-    out_path: str | None = None
     k_s: float = 6.0
     k_max: int = 10
     horizon: int | None = None  # None -> the experiment's default step count
@@ -361,17 +360,14 @@ def _run_sync(spec: ExperimentSpec) -> list[str]:
 
 
 def run_experiment(spec: ExperimentSpec) -> str:
-    """Run one experiment, write its CSV to ``spec.out_path`` if set, and return the text."""
+    """Run one experiment and return its CSV text; the caller decides where it goes."""
     spec.validate()
     if spec.experiment == "sync":
         header, lines = synctask.SYNC_CSV_HEADER, _run_sync(spec)
     else:
         header, blocks = SWEEPS[spec.experiment]
         lines = _run_sweep(spec, header, blocks)
-    text = csv_text(header, lines)
-    if spec.out_path:
-        Path(spec.out_path).write_text(text, encoding="utf-8", newline="\n")
-    return text
+    return csv_text(header, lines)
 
 
 def write_gnuplot_script(spec: ExperimentSpec, csv_path: str, script_path: str) -> None:

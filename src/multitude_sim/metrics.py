@@ -56,7 +56,6 @@ class MetricsReport:
     avg_hops: float
     avg_path_length: float
     clustering_coefficient: float
-    degree_histogram: dict[int, int]
     unreachable_pairs: int
 
     def csv_row(self, topology: Topology) -> str:
@@ -245,6 +244,5 @@ def compute_metrics(topology: Topology) -> MetricsReport:
         avg_hops=avg,
         avg_path_length=path_length,
         clustering_coefficient=clustering,
-        degree_histogram=degree_histogram(topology),
         unreachable_pairs=unreachable,
     )

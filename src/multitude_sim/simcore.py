@@ -613,12 +613,10 @@ class Simulation:
             pick = (self._draw(served, sw) * self._degree[sw]).astype(np.intp)
             dest = self._neighbors[self._first_neighbor[sw] + pick]
         else:
-            # widened to intp, so that the commit's sort keys cannot overflow
+            # widened to intp, so that the commit's sort keys cannot overflow; no
+            # message meets UNREACHABLE here, as _enter admits only reachable ones
+            # and each hop is one closer, so a delivery is exactly dest == LOCAL
             dest = self._next_hop[self._route_row[sw] + self._dsw[slots]].astype(np.intp)
-            lost = dest == UNREACHABLE
-            if np.count_nonzero(lost):
-                np.add.at(self._unreachable, self._lane_of[sw[lost]], 1)
-                self._release(slots[lost])
         delivered = np.count_nonzero(deliver)
         if delivered:
             done = slots[deliver]
@@ -628,10 +626,6 @@ class Simulation:
             if len(self._log) >= _LOG_ENTRIES or self._logged >= _LOG_MESSAGES:
                 self._fold()
             self._release(done)
-        if not wandering:
-            staged = dest >= 0  # neither LOCAL nor UNREACHABLE
-            slots, dest = slots[staged], dest[staged]
-        elif delivered:
             staged = ~deliver
             slots, dest, sw = slots[staged], dest[staged], sw[staged]
         if not len(slots):

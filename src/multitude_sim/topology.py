@@ -94,9 +94,8 @@ class InvariantError(ValueError):
 class TopologyConfig:
     """Parameters for one topology build.
 
-    ``alpha`` defaults to the family's defining exponent when left None.
-    ``raw_attempt_count`` switches the number of switch-link attempts from
-    round(k_s * S / 2) to round(k_s * S); the halved count is the default so
+    ``alpha`` defaults to the family's defining exponent when left None.  A
+    random-multitude build makes round(k_s * S / 2) switch-link attempts, so
     that the realized average switch degree matches k_s (every bidirectional
     link contributes 2 to the total degree).
     """
@@ -108,7 +107,6 @@ class TopologyConfig:
     k_s: float = 6.0
     k_max: int = 10
     seed: int = 0
-    raw_attempt_count: bool = False
 
     def resolved_alpha(self) -> float | None:
         if self.family in CA_FAMILIES:
@@ -362,7 +360,7 @@ class Topology:
 
     # -- invariants ----------------------------------------------------------
 
-    def validate(self, require_connected: bool = True) -> None:
+    def validate(self) -> None:
         """Raise InvariantError if any structural invariant is violated."""
         self._validate_geometry()
         if self.family == "3DRMRealistic":
@@ -370,7 +368,7 @@ class Topology:
             worst = int(self.switch_degrees().max(initial=0))
             if worst > cap:
                 raise InvariantError(f"switch degree {worst} exceeds k_max={cap}")
-        if require_connected and _switch_components(self)[0] > 1:
+        if _switch_components(self)[0] > 1:
             raise InvariantError("switch subgraph is not connected")
 
     def _validate_geometry(self) -> None:
@@ -576,8 +574,8 @@ def _switch_weights(sw_pos: np.ndarray, alpha: float) -> np.ndarray:
 def build_random_multitude(config: TopologyConfig) -> Topology:
     """Scatter nodes in the unit cube and wire switches by l^(-alpha) sampling.
 
-    Link attempts number round(k_s * S / 2) (or round(k_s * S) with
-    ``raw_attempt_count``).  Each attempt picks a uniform source switch and a
+    Link attempts number round(k_s * S / 2), one per link at the target
+    average degree k_s.  Each attempt picks a uniform source switch and a
     destination proportional to l^(-alpha); a destination already linked to
     the source is re-drawn up to 64 times before the attempt is dropped.  For
     3DRMRealistic an attempt whose endpoints would exceed k_max is dropped
@@ -608,10 +606,9 @@ def build_random_multitude(config: TopologyConfig) -> Topology:
     if s > 1:
         cdf = list(_switch_weights(sw_pos, alpha))
 
-        attempts = round(config.k_s * s) if config.raw_attempt_count else round(config.k_s * s / 2)
         degree = [0] * s
         linked: set[tuple[int, int]] = set()
-        for _ in range(attempts):
+        for _ in range(round(config.k_s * s / 2)):
             src = int(rng.integers(s))
             dst = -1
             for _ in range(DUPLICATE_RESAMPLE_LIMIT):

@@ -636,7 +636,7 @@ class ReferenceTopology:
 
     # -- invariants ----------------------------------------------------------
 
-    def validate(self, require_connected: bool = True) -> None:
+    def validate(self) -> None:
         """Raise InvariantError if any structural invariant is violated."""
         pos = self._positions
         if np.any(pos < -1e-12) or np.any(pos > 1 + 1e-12):
@@ -660,7 +660,7 @@ class ReferenceTopology:
             worst = max((self.switch_degree(s) for s in range(self.n_switch)), default=0)
             if worst > cap:
                 raise InvariantError(f"switch degree {worst} exceeds k_max={cap}")
-        if require_connected and _switch_components(self)[0] > 1:
+        if _switch_components(self)[0] > 1:
             raise InvariantError("switch subgraph is not connected")
 
 
@@ -787,13 +787,13 @@ def _distinct_positions(rng: np.random.Generator, count: int, taken: set) -> np.
 def reference_build_random_multitude(config: TopologyConfig) -> ReferenceTopology:
     """Scatter nodes in the unit cube and wire switches by l^(-alpha) sampling.
 
-    Link attempts number round(k_s * S / 2) (or round(k_s * S) with
-    ``raw_attempt_count``).  Each attempt picks a uniform source switch and a
-    destination proportional to l^(-alpha); a destination already linked to
-    the source is re-drawn up to 64 times before the attempt is dropped.  For
-    3DRMRealistic an attempt whose endpoints would exceed k_max is dropped
-    outright, which can depress the realized average degree.  Afterwards the
-    switch subgraph is bridged into a single component (see ensure_connected).
+    Link attempts number round(k_s * S / 2).  Each attempt picks a uniform
+    source switch and a destination proportional to l^(-alpha); a destination
+    already linked to the source is re-drawn up to 64 times before the
+    attempt is dropped.  For 3DRMRealistic an attempt whose endpoints would
+    exceed k_max is dropped outright, which can depress the realized average
+    degree.  Afterwards the switch subgraph is bridged into a single
+    component (see ensure_connected).
     """
     config.validate()
     if config.family not in RM_FAMILIES:
@@ -826,7 +826,7 @@ def reference_build_random_multitude(config: TopologyConfig) -> ReferenceTopolog
         cand_ids = [np.delete(all_ids, src) for src in range(s)]
         cand_dist = [np.delete(dist[src], src) for src in range(s)]
 
-        attempts = round(config.k_s * s) if config.raw_attempt_count else round(config.k_s * s / 2)
+        attempts = round(config.k_s * s / 2)
         degree = [0] * s
         for _ in range(attempts):
             src = int(rng.integers(s))

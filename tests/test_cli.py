@@ -1,11 +1,18 @@
 """CLI surface: commands, flags, config merging, exit codes."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from multitude_sim.cli import main
+from multitude_sim import TopologyConfig, build
+from multitude_sim.cli import _COMMANDS, main
+from multitude_sim.simcore import SIM_CSV_HEADER, Routing, SimConfig, run
+from multitude_sim.topology import csv_text
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_generate_writes_edge_list(tmp_path):
@@ -44,6 +51,25 @@ def test_simulate_reports_stats(tmp_path):
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["routing"] == "ShortestPath"
     assert int(fields["delivered"]) > 0
+
+
+@pytest.mark.parametrize(
+    "spelling, routing",
+    [
+        ("shortest-path", Routing.SHORTEST_PATH),
+        ("shortestpath", Routing.SHORTEST_PATH),
+        ("ShortestPath", Routing.SHORTEST_PATH),  # as the CSV's routing column spells it
+        ("random-wandering", Routing.RANDOM_WANDERING),
+        ("randomwandering", Routing.RANDOM_WANDERING),
+        ("RandomWandering", Routing.RANDOM_WANDERING),
+    ],
+)
+def test_simulate_routing_spellings(capsys, spelling, routing):
+    args = ["--family", "3DRMStandard", "--n", "16", "--s", "16", "--seed", "2", "--steps", "30"]
+    assert main(["simulate", *args, "--routing", spelling]) == 0
+    topo = build(TopologyConfig("3DRMStandard", 16, 16, seed=2))
+    cfg = SimConfig(horizon=30, routing=routing, seed=2)
+    assert capsys.readouterr().out == csv_text(SIM_CSV_HEADER, [run(topo, cfg).csv_row(topo, cfg)])
 
 
 def test_sync_forces_random_wandering(tmp_path):
@@ -123,7 +149,7 @@ def test_non_finite_alpha_or_ks_exit_code(args, capsys):
         ("switch-sweep", ["--n", "5"]),
         ("switch-sweep", ["--s", "5"]),
         ("switch-sweep", ["--alpha", "2.0"]),
-        ("switch-sweep", ["--raw-attempt-count"]),
+        ("switch-sweep", ["--topology", "topo.txt"]),  # a flag of other commands
         ("switch-sweep", ["--deletions", "1,2"]),  # only robustness reads deletions
         ("switch-sweep", ["--gnuplot"]),  # no --out to put the script next to
         # the static sweeps run no simulation
@@ -161,7 +187,7 @@ def test_sync_rejects_flags_it_would_ignore(capsys):
         ("generate", "2DCA", "9", ["--alpha", "7"]),
         ("metrics", "2DCA", "9", ["--alpha", "7"]),
         ("generate", "3DRMGlobal", "9", ["--kmax", "-3"]),
-        ("generate", "3DCA", "8", ["--raw-attempt-count"]),
+        ("generate", "3DCA", "8", ["--kmax", "4"]),
         ("simulate", "3DRMStandard", "9", ["--kmax", "4", "--steps", "5"]),
         ("sync", "3DCA", "8", ["--ks", "4", "--steps", "5"]),
     ],
@@ -227,9 +253,10 @@ def test_experiment_rejects_deletions_from_config_file(tmp_path, capsys):
     [
         ("sed = 5", "config key 'sed' names no flag of generate"),
         ("steps = 5", "config key 'steps' names no flag of generate"),  # a flag of other commands
-        ("raw-attempt-count = ture", "raw-attempt-count = 'ture' is not a boolean"),
         ("n = 16", "config key 'n' is given twice"),  # the last one was kept
-        ("raw_attempt_count = 1\nraw-attempt-count = 0", "config key 'raw-attempt-count' is given twice"),
+        # the file is read, underscores as dashes, before its keys meet the command's flags
+        pytest.param("seeds_per_point = 1\nseeds-per-point = 2", "config key 'seeds-per-point' is given twice",
+                     id="underscore-and-dash-spell-one-key"),
     ],
 )
 def test_config_file_mistakes_exit_code(tmp_path, capsys, line, message):
@@ -240,14 +267,24 @@ def test_config_file_mistakes_exit_code(tmp_path, capsys, line, message):
     assert out == "" and message in err
 
 
+def test_config_file_non_boolean_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("family = 2DCA\nseeds-per-point = 1\ngnuplot = ture\n", encoding="utf-8")
+    assert main(["experiment", "scaling", "--config", str(cfg), "--out", str(tmp_path / "run.csv")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "gnuplot = 'ture' is not a boolean" in err
+    assert not (tmp_path / "run.csv").exists()
+
+
 @pytest.mark.parametrize("value, raw", [("off", False), ("No", False), ("0", False), ("1", True), ("TRUE", True)])
-def test_config_file_boolean_spellings(tmp_path, capsys, value, raw):
-    cfg = tmp_path / "gen.cfg"
-    cfg.write_text(f"family = 3DRMStandard\nn = 16\ns = 16\nraw_attempt_count = {value}\n", encoding="utf-8")
-    assert main(["generate", "--config", str(cfg)]) == 0
-    from_file = capsys.readouterr().out
-    assert main(["generate", "--family", "3DRMStandard", "--n", "16", "--s", "16", *["--raw-attempt-count"] * raw]) == 0
-    assert from_file == capsys.readouterr().out
+def test_config_file_boolean_spellings(tmp_path, value, raw):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"family = 2DCA\nseeds-per-point = 1\ngnuplot = {value}\n", encoding="utf-8")
+    assert main(["experiment", "scaling", "--config", str(cfg), "--out", str(tmp_path / "file.csv")]) == 0
+    assert main(["experiment", "scaling", "--family", "2DCA", "--seeds-per-point", "1",
+                 "--out", str(tmp_path / "flag.csv"), *["--gnuplot"] * raw]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    assert (tmp_path / "file.gp").exists() == (tmp_path / "flag.gp").exists() == raw
 
 
 def test_non_leaf_processing_node_exit_code(tmp_path, capsys):
@@ -340,3 +377,11 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# multitude-topology v1")
+
+
+def test_readme_names_exactly_the_cli_flags():
+    # a flag removed from the CLI must leave the README too, and a new one must be documented
+    lines = [line for line in README.read_text(encoding="utf-8").splitlines() if "pip install" not in line]
+    named = set(re.findall(r"(?<![\w-])--([a-z][a-z0-9-]*)", "\n".join(lines)))
+    flags = {flag for _, _, command_flags in _COMMANDS.values() for flag in command_flags}
+    assert named == flags, (sorted(named - flags), sorted(flags - named))

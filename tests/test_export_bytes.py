@@ -28,7 +28,7 @@ BUILDS = {
     # sparse enough that the switch graph falls apart before repair
     "3DRMStandard-repair": TopologyConfig("3DRMStandard", 16, 64, k_s=0.5, seed=4),
     "3DRMLocal-repair": TopologyConfig("3DRMLocal", 20, 40, k_s=1.0, seed=3),
-    "3DRMGlobal-repair": TopologyConfig("3DRMGlobal", 12, 48, k_s=0.8, raw_attempt_count=True, seed=5),
+    "3DRMGlobal-repair": TopologyConfig("3DRMGlobal", 12, 48, k_s=1.6, seed=5),
     "3DRMRealistic-repair": TopologyConfig("3DRMRealistic", 30, 40, k_s=1.0, k_max=3, alpha=3.0, seed=6),
 }
 
@@ -95,5 +95,5 @@ def test_export_bytes(name, deletions):
 def test_repair_cases_repair(name):
     # more switch links than the build makes attempts: repair bridged components
     config = BUILDS[name]
-    attempts = round(config.k_s * config.n_switch * (1 if config.raw_attempt_count else 0.5))
+    attempts = round(config.k_s * config.n_switch / 2)
     assert len(build(config).switch_link_pairs()) > attempts

@@ -296,6 +296,12 @@ def test_run_experiment_dispatch_and_validation():
         run_experiment(ExperimentSpec("scaling", families=("XX",)))
     with pytest.raises(ConfigError):
         run_experiment(ExperimentSpec("scaling", seeds_per_point=0))
+    with pytest.raises(ConfigError, match="^horizon must be >= 0$"):
+        run_experiment(ExperimentSpec("robustness", horizon=-1))
+    with pytest.raises(ConfigError, match="^at least one family is required$"):
+        run_experiment(ExperimentSpec("scaling", families=()))
+    with pytest.raises(ConfigError, match="^sweep_values must be nonempty when given$"):
+        run_experiment(ExperimentSpec("scaling", sweep_values=()))
     # a repeated family or sweep value would write its rows twice; 2 and 2.0 are one exponent
     with pytest.raises(ConfigError, match="family repeats"):
         run_experiment(ExperimentSpec("scaling", families=("2DCA", "3DCA", "2DCA")))
@@ -333,20 +339,6 @@ def test_simulation_settings_the_experiment_overrides_are_refused(experiment, se
     spec = ExperimentSpec(experiment, families=("3DCA",), seeds_per_point=1, **settings)
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} does not apply to the {experiment} experiment"):
         spec.validate()
-
-
-def test_experiment_csv_written_to_disk(tmp_path):
-    out = tmp_path / "scaling.csv"
-    spec = ExperimentSpec(
-        "scaling",
-        families=("2DCA",),
-        sweep_values=(9,),
-        seeds_per_point=1,
-        out_path=str(out),
-    )
-    text = run_experiment(spec)
-    assert out.read_text(encoding="utf-8") == text
-    assert text.endswith("\n") and "\r" not in text
 
 
 def test_load_config_file(tmp_path):

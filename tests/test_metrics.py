@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from multitude_sim import CA_FAMILIES, FAMILIES, Topology, TopologyConfig, build, remove_random_links
+from multitude_sim import CA_FAMILIES, FAMILIES, ConfigError, Topology, TopologyConfig, build, remove_random_links
 from multitude_sim.metrics import (
     DisconnectedTopologyError,
     average_hops,
@@ -96,6 +96,12 @@ def test_average_hops_needs_two_pns():
         average_hops(topo)
 
 
+def test_path_length_needs_two_pns():
+    topo = build(TopologyConfig("2DCA", 1, 1, seed=1))
+    with pytest.raises(ConfigError, match="^average_path_length needs at least 2 processing nodes$"):
+        average_path_length(topo)
+
+
 def test_path_length_raises_on_disconnection():
     topo = build(TopologyConfig("2DCA", 16, 16, seed=3))
     faulted = remove_random_links(topo, len(topo.switch_link_pairs()), np.random.default_rng(0))
@@ -137,6 +143,17 @@ def test_clustering_undefined_without_degree_two():
     topo = build(TopologyConfig("2DCA", 1, 1, seed=1))
     with pytest.raises(ValueError):
         clustering_coefficient(topo)
+
+
+def test_compute_metrics_reads_nan_clustering_without_degree_two():
+    # two switches and one link between them: no switch has two neighbours
+    topo = build(TopologyConfig("3DRMStandard", 4, 2, seed=0))
+    assert topo.switch_degrees().tolist() == [1, 1]
+    report = compute_metrics(topo)
+    assert math.isnan(report.clustering_coefficient)
+    assert (report.avg_hops, report.unreachable_pairs) == average_hops(topo)
+    assert report.avg_path_length == average_path_length(topo)
+    assert report.csv_row(topo).split(",")[8] == "nan"
 
 
 # Regression baseline: 20-seed mean clustering measured at 0.101 (Global).

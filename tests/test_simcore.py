@@ -258,6 +258,8 @@ def test_sim_config_validation():
         SimConfig(buffer_capacity=0).validate()
     with pytest.raises(ValueError):
         SimConfig(routing="shortest").validate()  # type: ignore[arg-type]
+    with pytest.raises(ConfigError, match="^ttl must be >= 1 when set$"):
+        SimConfig(ttl=0).validate()
 
 
 def test_isolated_switch_holds_messages():
@@ -293,6 +295,12 @@ def test_lanes_share_one_id_space():
         sim.inject(25, 25 + 9)  # a lane-0 PN cannot reach a lane-1 PN
     assert sim.inject(25 + 9, 25 + 10) == 1
     assert sim.lane_in_flight() == [0, 1]
+
+
+@pytest.mark.parametrize("lanes, seeds", [(0, []), (2, [5])])
+def test_lanes_need_one_seed_per_topology(lanes, seeds):
+    with pytest.raises(ConfigError, match="^lanes need one seed per topology and at least one topology$"):
+        Simulation.lanes([grid9()] * lanes, SimConfig(), seeds)
 
 
 def test_every_lane_needs_two_processing_nodes():

@@ -6,8 +6,8 @@ benchmark's golden digests leave out: custom ``sweep_values`` for every
 experiment, robustness ``skipped`` rows (after a point that ran, and after
 some replicates of the same point ran), alpha reference rows under
 ``k_s``/``k_max`` overrides, a ``switch-sweep`` restricted to the lattice
-families or to no allowed family, and the ``out_path`` file.  A refactor of
-the harness or the CLI must leave every digest unchanged.
+families or to no allowed family, and the CLI's ``--out`` file and stdout.
+A refactor of the harness or the CLI must leave every digest unchanged.
 """
 
 import hashlib
@@ -121,14 +121,6 @@ def test_experiment_output_bytes(name):
     assert digest(run_experiment(CASES[name])) == DIGESTS[name]
 
 
-def test_out_path_file_bytes(tmp_path):
-    out = tmp_path / "robust.csv"
-    spec = CASES["robustness-skip-after-run"]
-    text = run_experiment(ExperimentSpec(**{**vars(spec), "out_path": str(out)}))
-    assert out.read_bytes() == text.encode("utf-8")
-    assert digest(text) == DIGESTS["robustness-skip-after-run"]
-
-
 @pytest.mark.parametrize("name", sorted(GNUPLOT_DIGESTS))
 def test_gnuplot_script_bytes(tmp_path, name):
     script = tmp_path / "plot.gp"
@@ -152,14 +144,29 @@ CLI_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLI_RUNS))
-def test_cli_experiment_bytes(tmp_path, monkeypatch, name):
+@pytest.fixture
+def cli_dir(tmp_path, monkeypatch):
+    """A scratch working directory holding the config file that CLI_RUNS names."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "alpha.cfg").write_text(
         "family = 3DRMLocal, 3DRMStandard\nseeds-per-point = 1\nseed = 11\nks = 4.5\n",
         encoding="utf-8",
     )
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_experiment_bytes(cli_dir, name):
     assert main([*CLI_RUNS[name], "--out", "run.csv", "--gnuplot"]) == 0
-    csv_text = (tmp_path / "run.csv").read_text(encoding="utf-8")
-    script = (tmp_path / "run.gp").read_text(encoding="utf-8")
+    csv_text = (cli_dir / "run.csv").read_text(encoding="utf-8")
+    script = (cli_dir / "run.gp").read_text(encoding="utf-8")
     assert [digest(csv_text), digest(script)] == CLI_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_cli_experiment_stdout_bytes(cli_dir, capsys, name):
+    # without --out the CSV goes to stdout: the digest that test_cli_experiment_bytes pins on the --out file
+    assert main(CLI_RUNS[name]) == 0
+    text = capsys.readouterr().out
+    assert digest(text) == CLI_DIGESTS[name][0]
+    assert text.endswith("\n") and "\r" not in text

@@ -39,6 +39,12 @@ def test_rejects_initial_values_outside_the_unit_interval(bad):
         run_sync_task(small_rm(), wander_cfg(horizon=5), initial_values=[0.5] * 15 + [bad])
 
 
+@pytest.mark.parametrize("count", [15, 17])
+def test_rejects_initial_values_of_the_wrong_length(count):
+    with pytest.raises(ConfigError, match="^initial_values must hold 16 entries$"):
+        run_sync_task(small_rm(), wander_cfg(horizon=5), initial_values=[0.5] * count)
+
+
 def test_equal_initial_values_are_a_fixed_point():
     trace = run_sync_task(small_rm(), wander_cfg(3, horizon=80), initial_values=[0.7] * 16)
     assert all(sd == 0.0 for sd in trace.stddevs)

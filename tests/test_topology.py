@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,8 @@ def test_ca_rejects_bad_sizes():
         build_ca(TopologyConfig("2DCA", 9, 16))
     with pytest.raises(ConfigError):
         build_ca(TopologyConfig("3DRMStandard", 9, 9))
+    with pytest.raises(ConfigError, match="^build_random_multitude cannot build family '2DCA'$"):
+        build_random_multitude(TopologyConfig("2DCA", 9, 9))
 
 
 # -- random multitudes ------------------------------------------------------------
@@ -123,11 +126,10 @@ def test_standard_realized_degree_near_target():
     assert mean == pytest.approx(REALIZED_DEGREE_BASELINE, abs=0.05)
 
 
-def test_raw_attempt_count_doubles_degree():
-    cfg = TopologyConfig("3DRMGlobal", 64, 64, seed=3, raw_attempt_count=True)
-    topo = build(cfg)
+def test_global_realized_degree_at_ks_12():
+    topo = build(TopologyConfig("3DRMGlobal", 64, 64, k_s=12.0, seed=3))
     mean = int(topo.switch_degrees().sum()) / 64
-    assert 10.5 < mean <= 12.0  # k_s * S attempts instead of k_s * S / 2
+    assert 10.5 < mean <= 12.0  # k_s * S / 2 attempts; a re-draw cap or repair moves it little
 
 
 def test_rm_invariants_across_families_and_seeds():
@@ -145,6 +147,22 @@ def test_rm_generation_is_deterministic():
     a = export_edge_list(build(TopologyConfig("3DRMStandard", 64, 64, seed=77)))
     b = export_edge_list(build(TopologyConfig("3DRMStandard", 64, 64, seed=77)))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (TopologyConfig("XX"), "unknown family 'XX'"),
+        (TopologyConfig("2DCA", 0, 9), "n_processing and n_switch must both be >= 1"),
+        (TopologyConfig("3DRMStandard", 9, 0), "n_processing and n_switch must both be >= 1"),
+        (TopologyConfig("2DCA", 9, 9, seed=-1), "seed must fit in 64 unsigned bits"),
+        (TopologyConfig("3DRMStandard", 9, 9, seed=2**64), "seed must fit in 64 unsigned bits"),
+        (TopologyConfig("3DRMRealistic", 9, 9, k_max=0), "k_max must be >= 1 for 3DRMRealistic"),
+    ],
+)
+def test_topology_config_refusals(config, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        config.validate()
 
 
 def test_global_pins_alpha():
@@ -373,6 +391,18 @@ def test_import_rejects_garbage():
         import_edge_list("not a topology\n")
     with pytest.raises(ConfigError):
         import_edge_list("# multitude-topology v1 family=XX seed=0\n")
+    for header in ("family=2DCA", "family=2DCA seed=x"):
+        with pytest.raises(ConfigError, match="^edge-list header is missing a valid seed$"):
+            import_edge_list(f"# multitude-topology v1 {header}\nN 0 S 0.0 0.0 0.0\n")
+    head = "# multitude-topology v1 family=2DCA seed=0\n"
+    for rows, message in (
+        ("N 0 S 0.0 0.0 0.0\nX 1 2\n", "malformed edge-list row: 'X 1 2'"),
+        ("N 0 S 0.0 0.0 0.0\nL 0 1\n", "malformed edge-list row: 'L 0 1'"),
+        ("N 0 S 0.0 0.0 0.0\nN 2 P 0.0 0.0 0.0\nL 0 2 0.01\n", "edge list node ids must be contiguous from 0"),
+        ("N 0 P 0.0 0.0 0.0\nN 1 S 0.0 0.0 0.0\nL 0 1 0.01\n", "switch node ids must precede processing node ids"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            import_edge_list(head + rows)
 
 
 @pytest.mark.parametrize("row", ["N 1 S 1.0 zero 0.0", "N one S 1.0 0.0 0.0", "L 0 1 long"])
@@ -491,6 +521,27 @@ def test_pn_switches_reads_attachment_and_rejects_non_leaf():
     pos = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.0, 0.0]])
     with pytest.raises(InvariantError, match="processing node 2 "):
         Topology("3DRMStandard", 0, 2, 1, pos, ([0, 0, 1], [1, 2, 2], [0.5, 0.2, 0.3]))
+
+
+def test_topology_rejects_positions_of_the_wrong_shape():
+    for shape in ((2, 3), (3, 2), (9,)):
+        with pytest.raises(ValueError, match=r"^positions must have shape \(3, 3\)$"):
+            Topology("3DRMStandard", 0, 2, 1, np.zeros(shape), ([0], [2], [0.0]))
+
+
+def test_validate_flags_degree_over_k_max():
+    # with_links keeps the family and k_max but checks no cap; validate() does
+    topo = build(TopologyConfig("3DRMRealistic", 16, 16, k_max=3, seed=1))
+    pos = topo.positions
+    linked = {a + b for a, b in topo.switch_link_pairs() if 0 in (a, b)}  # switch 0's neighbours
+    extra = [j for j in range(1, 16) if j not in linked][: 4 - len(linked)]
+    lo, hi, length = topo.link_arrays()
+    wider = topo.with_links((
+        [*lo, *[0] * len(extra)], [*hi, *extra], [*length, *(math.dist(pos[0], pos[j]) for j in extra)]
+    ))
+    assert wider.switch_degrees()[0] == 4
+    with pytest.raises(InvariantError, match="^switch degree 4 exceeds k_max=3$"):
+        wider.validate()
 
 
 def test_validate_flags_wrong_cached_length():
